@@ -56,6 +56,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *seeds < 1 {
+		fatal(fmt.Errorf("-seeds %d: the sweep needs at least one seed", *seeds))
+	}
 	if *cache != "off" {
 		fatal(fmt.Errorf("-cache %s: the differential sweep always re-executes; only -cache off is supported", *cache))
 	}

@@ -38,6 +38,12 @@ func main() {
 	)
 	flag.Parse()
 
+	if *seeds < 1 {
+		fatal(fmt.Errorf("-seeds %d: each test needs at least one interleaving seed", *seeds))
+	}
+	if *random < 0 {
+		fatal(fmt.Errorf("-random %d: the random test count cannot be negative", *random))
+	}
 	model, err := core.ParseMemModel(*modelName)
 	if err != nil {
 		fatal(err)

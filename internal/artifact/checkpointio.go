@@ -3,7 +3,6 @@ package artifact
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"sort"
 
@@ -14,7 +13,7 @@ import (
 
 // Checkpoint store format v1 ("DMDPCKP1").
 //
-//	[8] magic+version  [4] CRC32C of the payload
+//	[8] magic+version  [4] CRC32C of the payload (see frame)
 //	payload:
 //	  [8] at  [4] pc  [1] hasArch  [3] zero pad
 //	  NumArchRegs x [4] regs
@@ -28,16 +27,15 @@ var checkpointMagic = [8]byte{'D', 'M', 'D', 'P', 'C', 'K', 'P', '1'}
 
 // Plan store format v1 ("DMDPPLN1").
 //
-//	[8] magic+version  [4] CRC32C of the payload
+//	[8] magic+version  [4] CRC32C of the payload (see frame)
 //	payload:
 //	  [8] chunkLen  [8] total  [8] warmup  [1] hitHalt  [7] zero pad
 //	  [8] interval count, then per interval: [8] start [8] end [8] weight bits
 var planMagic = [8]byte{'D', 'M', 'D', 'P', 'P', 'L', 'N', '1'}
 
 const (
-	checkpointHeaderSize = 12
-	checkpointSuffix     = ".ckpt"
-	planSuffix           = ".plan"
+	checkpointSuffix = ".ckpt"
+	planSuffix       = ".plan"
 )
 
 // CheckpointKey derives the checkpoint-store key for the architectural
@@ -97,19 +95,12 @@ func encodeCheckpoint(ck *emu.Checkpoint) []byte {
 		payload = binary.LittleEndian.AppendUint32(payload, base)
 		payload = append(payload, ck.Pages[base][:]...)
 	}
-
-	buf := make([]byte, 0, checkpointHeaderSize+len(payload))
-	buf = append(buf, checkpointMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return frame(checkpointMagic, payload)
 }
 
 func decodeCheckpoint(buf []byte) *emu.Checkpoint {
-	if len(buf) < checkpointHeaderSize || [8]byte(buf[:8]) != checkpointMagic {
-		return nil
-	}
-	payload := buf[checkpointHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[8:12]) {
+	payload, ok := unframe(checkpointMagic, buf)
+	if !ok {
 		return nil
 	}
 	fixed := 8 + 4 + 4 + 4*isa.NumArchRegs + 4
@@ -217,18 +208,12 @@ func encodePlan(p *PlanRecord) []byte {
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(iv.End))
 		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(iv.Weight))
 	}
-	buf := make([]byte, 0, checkpointHeaderSize+len(payload))
-	buf = append(buf, planMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return frame(planMagic, payload)
 }
 
 func decodePlan(buf []byte) *PlanRecord {
-	if len(buf) < checkpointHeaderSize || [8]byte(buf[:8]) != planMagic {
-		return nil
-	}
-	payload := buf[checkpointHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[8:12]) {
+	payload, ok := unframe(planMagic, buf)
+	if !ok {
 		return nil
 	}
 	const fixed = 40

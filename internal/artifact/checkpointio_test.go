@@ -191,9 +191,9 @@ func mapCount(t *testing.T) int {
 // Checkpoint restores happen once per interval per sampled run, so the
 // load path must not hold a kernel resource per read. The mmap-backed
 // trace read path deliberately never unmaps; when checkpoints loaded
-// through it, every restore leaked one mapping and a long-lived daemon
-// (or a benchmark loop) crashed the Go runtime against vm.max_map_count
-// after ~65k restores.
+// through it, every restore leaked one mapping and a long-lived process
+// (such as a benchmark loop) crashed the Go runtime against
+// vm.max_map_count after ~65k restores.
 func TestCheckpointLoadDoesNotLeakMappings(t *testing.T) {
 	before := mapCount(t)
 	if before < 0 {

@@ -1,40 +1,25 @@
 package artifact
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-
-	"dmdp/internal/core"
-)
+import "dmdp/internal/core"
 
 // Result store format v1 ("DMDPRES1").
 //
-//	[8] magic+version  [4] CRC32C of the payload
+//	[8] magic+version  [4] CRC32C of the payload (see frame)
 //	payload: one canonical core.Stats encoding (fixed width; see
 //	core.MarshalCanonical). The stats schema version is part of the
 //	cache key, not the file, so a schema bump changes keys and the old
 //	files simply age out.
 var resultMagic = [8]byte{'D', 'M', 'D', 'P', 'R', 'E', 'S', '1'}
 
-const (
-	resultHeaderSize = 12
-	resultSuffix     = ".stats"
-)
+const resultSuffix = ".stats"
 
 func encodeStats(st *core.Stats) []byte {
-	payload := st.MarshalCanonical()
-	buf := make([]byte, 0, resultHeaderSize+len(payload))
-	buf = append(buf, resultMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return frame(resultMagic, st.MarshalCanonical())
 }
 
 func decodeStats(buf []byte) *core.Stats {
-	if len(buf) < resultHeaderSize || [8]byte(buf[:8]) != resultMagic {
-		return nil
-	}
-	payload := buf[resultHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[8:12]) {
+	payload, ok := unframe(resultMagic, buf)
+	if !ok {
 		return nil
 	}
 	st, err := core.UnmarshalCanonicalStats(payload)

@@ -136,9 +136,9 @@ type Counters struct {
 	// warm miss at a sampled interval degrades that interval to a cold
 	// start, not a failure. WarmBytes is the total decoded snapshot bytes
 	// served from warm hits.
-	WarmHits, WarmMisses int64
-	WarmBytes            int64
-	Writes               int64
+	WarmHits, WarmMisses      int64
+	WarmBytes                 int64
+	Writes                    int64
 	BytesRead, BytesWritten   int64
 	Evictions, CorruptDropped int64
 	// Degraded reports a write-failure fallback to read-only (see
@@ -303,11 +303,11 @@ func (s *Store) Counters() Counters {
 		WarmMisses:       s.warmMisses.Load(),
 		WarmBytes:        s.warmBytes.Load(),
 		Writes:           s.writes.Load(),
-		BytesRead:      s.bytesRead.Load(),
-		BytesWritten:   s.bytesWritten.Load(),
-		Evictions:      s.evictions.Load(),
-		CorruptDropped: s.corrupt.Load(),
-		Degraded:       s.degraded.Load(),
+		BytesRead:        s.bytesRead.Load(),
+		BytesWritten:     s.bytesWritten.Load(),
+		Evictions:        s.evictions.Load(),
+		CorruptDropped:   s.corrupt.Load(),
+		Degraded:         s.degraded.Load(),
 	}
 }
 

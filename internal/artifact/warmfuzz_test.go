@@ -42,7 +42,7 @@ func FuzzWarmStateDecode(f *testing.F) {
 	valid := fuzzWarmBytes(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])        // truncated mid-payload
-	f.Add(valid[:warmHeaderSize])      // header only
+	f.Add(valid[:frameHeaderSize])     // header only
 	f.Add([]byte{})                    // empty
 	f.Add([]byte("DMDPCKP2 not real")) // magic, garbage rest
 	flipped := append([]byte(nil), valid...)
@@ -79,12 +79,12 @@ func FuzzWarmStateDecode(f *testing.F) {
 		check(t, decodeWarm(data))
 
 		// Re-sign the mutation so the structural decoder runs.
-		if len(data) < warmHeaderSize+warmFixed {
+		if len(data) < frameHeaderSize+warmFixed {
 			return
 		}
 		patched := append([]byte(nil), data...)
 		copy(patched[:8], warmMagic[:])
-		binary.LittleEndian.PutUint32(patched[8:12], crc32.Checksum(patched[warmHeaderSize:], crcTable))
+		binary.LittleEndian.PutUint32(patched[8:12], crc32.Checksum(patched[frameHeaderSize:], crcTable))
 		check(t, decodeWarm(patched))
 	})
 }

@@ -3,12 +3,11 @@ package artifact
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash/crc32"
 )
 
 // Warm-state store format v2 checkpoint companion ("DMDPCKP2").
 //
-//	[8] magic+version  [4] CRC32C of the payload
+//	[8] magic+version  [4] CRC32C of the payload (see frame)
 //	payload:
 //	  [8] at  [8] baseAt (two's complement; -1 = self-contained frame)
 //	  rest: warm blob — a full warm snapshot when baseAt < 0, otherwise a
@@ -23,9 +22,8 @@ import (
 var warmMagic = [8]byte{'D', 'M', 'D', 'P', 'C', 'K', 'P', '2'}
 
 const (
-	warmSuffix     = ".warm"
-	warmHeaderSize = checkpointHeaderSize
-	warmFixed      = 8 + 8
+	warmSuffix = ".warm"
+	warmFixed  = 8 + 8
 )
 
 // WarmRecord is one boundary's persisted warm state.
@@ -63,21 +61,12 @@ func encodeWarm(r *WarmRecord) []byte {
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.At))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.BaseAt))
 	payload = append(payload, r.Payload...)
-	buf := make([]byte, 0, warmHeaderSize+len(payload))
-	buf = append(buf, warmMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return frame(warmMagic, payload)
 }
 
 func decodeWarm(buf []byte) *WarmRecord {
-	if len(buf) < warmHeaderSize || [8]byte(buf[:8]) != warmMagic {
-		return nil
-	}
-	payload := buf[warmHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[8:12]) {
-		return nil
-	}
-	if len(payload) < warmFixed {
+	payload, ok := unframe(warmMagic, buf)
+	if !ok || len(payload) < warmFixed {
 		return nil
 	}
 	r := &WarmRecord{

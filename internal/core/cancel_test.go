@@ -97,29 +97,3 @@ func TestRunContextNoDeadlineIdentical(t *testing.T) {
 		t.Fatal("RunContext with unfired deadline changed the stats")
 	}
 }
-
-// TestProgressFn: the progress callback observes monotone progress while
-// the run advances.
-func TestProgressFn(t *testing.T) {
-	s, _ := workload.Get("hmmer")
-	tr, err := s.BuildTrace(100_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := New(config.Default(config.NoSQ), tr)
-	var samples int
-	var lastRetired, lastCycle int64
-	c.SetProgressFn(func(retired, cycles int64) {
-		samples++
-		if retired < lastRetired || cycles < lastCycle {
-			t.Errorf("progress went backwards: (%d,%d) after (%d,%d)", retired, cycles, lastRetired, lastCycle)
-		}
-		lastRetired, lastCycle = retired, cycles
-	})
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if samples == 0 {
-		t.Fatal("progress callback never fired")
-	}
-}

@@ -179,10 +179,6 @@ type Core struct {
 	// (diagnostics/tests).
 	onDepMispredict func(*inst)
 
-	// progressFn, when set, receives (retired, cycle) every
-	// cancelPollInterval loop iterations (streaming stats for dmdpd).
-	progressFn func(retired, cycles int64)
-
 	// tracer, when attached, records per-instruction stage timings.
 	tracer *PipeTracer
 
@@ -234,11 +230,11 @@ func New(cfg config.Config, tr *trace.Trace) (*Core, error) {
 func (c *Core) Run() (*Stats, error) { return c.RunContext(context.Background()) }
 
 // cancelPollInterval is how many cycle-loop iterations RunContext steps
-// between context polls and progress callbacks. Polling is off the hot
-// path (one counter increment per iteration; the channel read only every
-// interval), so cancellation support costs nothing measurable and does
-// not perturb simulation state: statistics are byte-identical with or
-// without a deadline, as long as it does not fire.
+// between context polls. Polling is off the hot path (one counter
+// increment per iteration; the channel read only every interval), so
+// cancellation support costs nothing measurable and does not perturb
+// simulation state: statistics are byte-identical with or without a
+// deadline, as long as it does not fire.
 const cancelPollInterval = 4096
 
 // RunContext simulates the whole trace, aborting with a structured
@@ -274,9 +270,6 @@ func (c *Core) RunContext(ctx context.Context) (*Stats, error) {
 				default:
 				}
 			}
-			if c.progressFn != nil {
-				c.progressFn(c.retired, c.now)
-			}
 		}
 	}
 	if c.simErr != nil {
@@ -297,12 +290,6 @@ func (c *Core) RunContext(ctx context.Context) (*Stats, error) {
 	c.stats.SimWallClockNS = time.Since(start).Nanoseconds()
 	return &c.stats, nil
 }
-
-// SetProgressFn registers fn to observe simulation progress (retired
-// instructions, current cycle) from the cycle loop, sampled every
-// cancelPollInterval iterations. Call before Run; fn runs on the
-// simulating goroutine and must be fast. A nil fn detaches.
-func (c *Core) SetProgressFn(fn func(retired, cycles int64)) { c.progressFn = fn }
 
 // step advances the simulation by one cycle: the body of Run's loop,
 // split out so the allocation-regression guard can measure a single

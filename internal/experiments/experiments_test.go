@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"dmdp/internal/config"
+	"dmdp/internal/core"
 )
 
 // smallRunner uses a tiny budget and a benchmark subset so every
@@ -241,6 +243,39 @@ func TestDigestDedupAcrossExperiments(t *testing.T) {
 	}
 	if r.sims.Load() != 1 {
 		t.Fatalf("expected 1 simulation, got %d", r.sims.Load())
+	}
+}
+
+// TestConcurrentIdenticalRunsSimulateOnce: concurrent callers asking for
+// the same (bench, config) share one in-flight simulation and all
+// receive the same stats.
+func TestConcurrentIdenticalRunsSimulateOnce(t *testing.T) {
+	r := NewRunner(Options{Budget: 50_000, Benchmarks: []string{"hmmer"}, Parallel: false})
+	const callers = 8
+	var got [callers]*core.Stats
+	var errs [callers]error
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = r.Run("hmmer", config.Default(config.DMDP), "dmdp")
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if got[i] != got[0] {
+			t.Fatalf("caller %d got different stats than caller 0", i)
+		}
+	}
+	if n := r.Sims(); n != 1 {
+		t.Fatalf("%d concurrent identical runs simulated %d times, want 1", callers, n)
 	}
 }
 

@@ -18,13 +18,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dmdp/internal/artifact"
 	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/power"
-	"dmdp/internal/retry"
 	"dmdp/internal/sampling"
 	"dmdp/internal/sched"
 	"dmdp/internal/trace"
@@ -49,14 +47,11 @@ type Options struct {
 	// only). Lookups go memory -> disk -> simulate; results of failed
 	// or fault-injected runs are never persisted.
 	Cache *artifact.Store
-	// Context, when set, bounds every run the runner starts (wall-clock
-	// -timeout on the CLIs, per-service shutdown in daemons): once it is
-	// done, in-flight simulations abort with a structured canceled error
-	// and pooled warm-ups stop claiming new work. Nil means no bound.
+	// Context, when set, bounds every run the runner starts (the CLIs'
+	// wall-clock -timeout): once it is done, in-flight simulations abort
+	// with a structured canceled error and pooled warm-ups stop claiming
+	// new work. Nil means no bound.
 	Context context.Context
-	// Retry is the transient-failure policy for simulations (zero value:
-	// DefaultRetry — one immediate-ish retry with the tracer attached).
-	Retry retry.Policy
 	// Sample overrides the samp-err experiment's sampling spec (zero
 	// value: a budget-derived default, see Runner.sampSpec).
 	Sample sampling.Spec
@@ -68,14 +63,6 @@ type Options struct {
 	// paper's checkpoint semantics) and with cache/TLB/predictor tag
 	// state installed from the profiling pass.
 	SampleWarm bool
-}
-
-// DefaultRetry preserves the historical retry-once behavior with the
-// shared backoff machinery: 2 attempts, a short jittered pause between
-// them (deterministically seeded), context-aware.
-func DefaultRetry() retry.Policy {
-	return retry.Policy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond,
-		MaxDelay: 50 * time.Millisecond, Multiplier: 2, Jitter: 1, Seed: 1}
 }
 
 // DefaultOptions runs the full suite at 300k instructions per proxy.
@@ -156,9 +143,6 @@ func NewRunner(opt Options) *Runner {
 	if len(opt.Benchmarks) == 0 {
 		opt.Benchmarks = workload.Names()
 	}
-	if opt.Retry.MaxAttempts == 0 {
-		opt.Retry = DefaultRetry()
-	}
 	return &Runner{
 		opt:    opt,
 		traces: make(map[string]*traceCall),
@@ -180,7 +164,7 @@ func (r *Runner) ctx() context.Context {
 }
 
 // Sims returns the number of actual core executions so far (cache hits
-// excluded) — the /statz gauge and the warm-cache test oracle.
+// excluded) — the warm-cache and singleflight test oracle.
 func (r *Runner) Sims() int64 { return r.sims.Load() }
 
 // traceKey returns the persistent trace-store key for a benchmark
@@ -254,9 +238,9 @@ func (r *Runner) Trace(name string) (*trace.Trace, error) {
 			}
 		}
 		if c.tr == nil {
-			// Builds poll the runner's base context: a daemon drain or
-			// deadline aborts a multi-minute 100M-entry emulation mid-way
-			// instead of running it to completion first.
+			// Builds poll the runner's base context: a -timeout aborts a
+			// multi-minute 100M-entry emulation mid-way instead of running
+			// it to completion first.
 			c.tr, c.err = s.BuildTraceCtx(r.ctx(), r.opt.Budget)
 			if c.err == nil && kok {
 				r.opt.Cache.StoreTrace(key, c.tr)
@@ -288,10 +272,9 @@ func (r *Runner) traceLen(name string) int {
 // Run simulates the benchmark under cfg, caching by (benchmark, config
 // digest, budget) — the label only names the run in tables and failure
 // rows. Concurrent callers requesting the same machine share one
-// simulation. A failed run (error or panic) is retried under the
-// runner's retry policy with the pipeline tracer attached; if it keeps
-// failing the failure is cached and recorded (see Failures) so the rest
-// of the suite proceeds without it.
+// simulation. A failed run (error or panic) is retried once with the
+// pipeline tracer attached; if it fails again the failure is cached and
+// recorded (see Failures) so the rest of the suite proceeds without it.
 func (r *Runner) Run(name string, cfg config.Config, label string) (*core.Stats, error) {
 	return r.RunCtx(r.ctx(), name, cfg, label)
 }
@@ -321,7 +304,7 @@ func (r *Runner) RunCtx(ctx context.Context, name string, cfg config.Config, lab
 	if c.res.canceled {
 		// A cancellation is a scheduling outcome, not a property of the
 		// machine: evict the negative entry so a later request (longer
-		// deadline, post-drain restart) simulates afresh.
+		// deadline) simulates afresh.
 		r.mu.Lock()
 		if r.calls[key] == c {
 			delete(r.calls, key)
@@ -334,9 +317,9 @@ func (r *Runner) RunCtx(ctx context.Context, name string, cfg config.Config, lab
 
 // execute performs the out-of-memory-cache simulation: persistent result
 // store first (a hit skips even the trace build; in verify mode the hit
-// is re-simulated and compared), then trace build + run under the retry
-// policy (later attempts carry the pipeline tracer). Fault-injected
-// configurations and failed runs are never persisted.
+// is re-simulated and compared), then trace build + run, retried once
+// with the pipeline tracer attached. Fault-injected configurations and
+// failed runs are never persisted.
 func (r *Runner) execute(ctx context.Context, name string, cfg config.Config, label string) runResult {
 	resultKey, keyed := r.traceKey(name)
 	persistable := keyed && !cfg.Faults.Enabled()
@@ -358,27 +341,23 @@ func (r *Runner) execute(ctx context.Context, name string, cfg config.Config, la
 	}
 	var st *core.Stats
 	var runErr error
-	var panicked bool
-	attempts := 0
-	doErr := r.opt.Retry.Do(ctx, func(attempt int) error {
-		attempts = attempt
+	var panicked, retried bool
+	for attempt := 1; attempt <= 2; attempt++ {
+		if err := ctx.Err(); err != nil {
+			if runErr == nil {
+				runErr = err // cancelled before the first attempt started
+			}
+			break
+		}
+		retried = attempt > 1
 		r.sims.Add(1)
-		// Later attempts run with the tracer attached: a transient
-		// failure recovers, a deterministic one is declared failed with
+		// The retry runs with the tracer attached: a transient failure
+		// recovers, a deterministic one is declared failed with
 		// stage-timing diagnostics.
-		st, runErr, panicked = simulate(ctx, cfg, tr, attempt > 1)
-		if runErr == nil {
-			return nil
+		st, runErr, panicked = simulate(ctx, cfg, tr, retried)
+		if runErr == nil || core.Canceled(runErr) {
+			break // a cancellation cannot be helped by retrying
 		}
-		if core.Canceled(runErr) {
-			return retry.Permanent(runErr) // deadline hit: retrying cannot help
-		}
-		return runErr
-	})
-	retried := attempts > 1
-	if runErr == nil && doErr != nil {
-		// Cancelled before the first attempt started.
-		runErr = doErr
 	}
 	if runErr != nil {
 		return runResult{
@@ -436,23 +415,6 @@ func (r *Runner) deliver(name, label string, res runResult) (*core.Stats, error)
 	return res.st, nil
 }
 
-// progressKey carries a per-run progress tap in a context (see
-// WithProgress).
-type progressKey struct{}
-
-// ProgressFn observes a running simulation: retired instructions and
-// elapsed cycles, reported at the core's cancellation-poll cadence.
-type ProgressFn = func(retired, cycles int64)
-
-// WithProgress returns a context carrying a progress tap: every
-// simulation the runner starts under the returned context reports
-// (retired, cycles) periodically from the simulating goroutine. Callers
-// that serve multiple jobs attach one tap per job context, so
-// concurrent runs never interleave on a shared sink.
-func WithProgress(ctx context.Context, fn ProgressFn) context.Context {
-	return context.WithValue(ctx, progressKey{}, fn)
-}
-
 // simulate builds a core and runs it to completion under ctx, converting
 // panics into errors so one corrupted benchmark cannot take down the
 // suite.
@@ -467,9 +429,6 @@ func simulate(ctx context.Context, cfg config.Config, tr *trace.Trace, withTrace
 	c, err := core.New(cfg, tr)
 	if err != nil {
 		return nil, err, false
-	}
-	if fn, ok := ctx.Value(progressKey{}).(ProgressFn); ok && fn != nil {
-		c.SetProgressFn(fn)
 	}
 	if withTracer {
 		c.AttachTracer(64)
@@ -598,15 +557,6 @@ func (r *Runner) warm(specs []RunSpec) error {
 func (r *Runner) forEachPooled(ctx context.Context, n int, f func(i int)) int {
 	return sched.PoolCtx(ctx, r.jobs(), n, f)
 }
-
-// Pool runs f(0..n-1) on an atomic-counter worker pool of the given
-// width (jobs <= 1 runs serially on the caller's goroutine). It is the
-// scheduling primitive shared with other harnesses (cmd/difftest):
-// work items are claimed by index, so callers that write results into
-// slot i get schedule-independent output. It now lives in
-// internal/sched (the reusable scheduling core); this forwarder keeps
-// the historical call sites.
-func Pool(jobs, n int, f func(i int)) { sched.Pool(jobs, n, f) }
 
 // Energy evaluates the power model for a cached run.
 func (r *Runner) Energy(name string, m config.Model) (power.Result, error) {

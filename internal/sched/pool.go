@@ -1,18 +1,8 @@
-// Package sched is the reusable scheduling core behind both the batch
-// experiment runner and the dmdpd daemon. It provides two layers:
-//
-//   - Pool / PoolCtx: the deterministic atomic-counter fan-out primitive
-//     the experiment runner and difftest sweep schedule on (extracted
-//     from internal/experiments). Work items are claimed by index, so
-//     callers that write results into slot i get schedule-independent
-//     output at any worker count.
-//
-//   - Scheduler: a long-running job service — bounded priority queue,
-//     admission control with load shedding, per-tenant token-bucket rate
-//     limits and quotas, in-flight dedup by job key, per-job deadlines,
-//     panic isolation, and graceful drain. Every accepted job resolves
-//     its Handle exactly once; that invariant is what the dmdpd chaos
-//     suite leans on.
+// Package sched provides Pool and PoolCtx, the deterministic
+// atomic-counter fan-out primitive the experiment runner, sampling,
+// difftest and litmus sweeps schedule on. Work items are claimed by
+// index, so callers that write results into slot i get
+// schedule-independent output at any worker count.
 package sched
 
 import (

@@ -40,7 +40,7 @@ func TestCollectCtxCancelsMidBuild(t *testing.T) {
 		t.Fatalf("cancel should fire mid-build: %d entries of %d", bc.Entries, max)
 	}
 	// The structured error must still satisfy the generic cancellation
-	// checks used by the experiments runner and the daemon.
+	// checks used by the experiments runner.
 	if !errors.Is(err, context.Canceled) {
 		t.Fatal("BuildCanceled must unwrap to context.Canceled")
 	}
