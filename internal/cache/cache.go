@@ -28,8 +28,12 @@ type line struct {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	cfg Config
+	// lines holds every set back to back: set si is
+	// lines[si*Ways : (si+1)*Ways]. One pointer-free allocation per level
+	// keeps construction cheap and gives the GC nothing to scan.
+	lines    []line
+	numSets  uint32
 	setShift uint
 	setMask  uint32
 	tick     int64
@@ -42,16 +46,13 @@ type Cache struct {
 // consistent.
 func NewCache(cfg Config) *Cache {
 	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, numSets),
+		lines:    make([]line, numSets*cfg.Ways),
+		numSets:  uint32(numSets),
 		setShift: uint(log2(cfg.LineBytes)),
 		setMask:  uint32(numSets - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c
 }
 
 func log2(n int) int {
@@ -63,7 +64,13 @@ func log2(n int) int {
 }
 
 func (c *Cache) setIndex(addr uint32) uint32 { return addr >> c.setShift & c.setMask }
-func (c *Cache) tagOf(addr uint32) uint32    { return addr >> c.setShift / uint32(len(c.sets)) }
+func (c *Cache) tagOf(addr uint32) uint32    { return addr >> c.setShift / c.numSets }
+
+// set returns the ways of set si.
+func (c *Cache) set(si uint32) []line {
+	w := uint32(c.cfg.Ways)
+	return c.lines[si*w : si*w+w]
+}
 
 // LineAddr returns the line-aligned address.
 func (c *Cache) LineAddr(addr uint32) uint32 {
@@ -72,7 +79,7 @@ func (c *Cache) LineAddr(addr uint32) uint32 {
 
 // Lookup probes without modifying replacement state.
 func (c *Cache) Lookup(addr uint32) bool {
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(c.setIndex(addr))
 	tag := c.tagOf(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -88,7 +95,7 @@ func (c *Cache) access(addr uint32, write bool, fill bool) (hit bool, wbAddr uin
 	c.tick++
 	c.Accesses++
 	si := c.setIndex(addr)
-	set := c.sets[si]
+	set := c.set(si)
 	tag := c.tagOf(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -119,7 +126,7 @@ func (c *Cache) access(addr uint32, write bool, fill bool) (hit bool, wbAddr uin
 		if set[victim].dirty {
 			c.Writebacks++
 			wb = true
-			wbAddr = (set[victim].tag*uint32(len(c.sets)) + si) << c.setShift
+			wbAddr = (set[victim].tag*c.numSets + si) << c.setShift
 		}
 	}
 	set[victim] = line{tag: tag, valid: true, dirty: write, used: c.tick}
@@ -129,7 +136,7 @@ func (c *Cache) access(addr uint32, write bool, fill bool) (hit bool, wbAddr uin
 // Invalidate drops the line containing addr (consistency hook). It
 // reports whether the line was present.
 func (c *Cache) Invalidate(addr uint32) bool {
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(c.setIndex(addr))
 	tag := c.tagOf(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -191,10 +198,17 @@ func DefaultHierarchyConfig() HierarchyConfig {
 
 // NewHierarchy builds the full stack.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+	return NewHierarchyOver(cfg, NewCache(cfg.L2), dram.New(cfg.DRAM))
+}
+
+// NewHierarchyOver builds a private L1D over the given L2 and DRAM, which
+// several hierarchies may share (a multicore machine's shared L2). The L2
+// and DRAM fields of cfg are not used.
+func NewHierarchyOver(cfg HierarchyConfig, l2 *Cache, d *dram.DRAM) *Hierarchy {
 	return &Hierarchy{
 		L1D:      NewCache(cfg.L1D),
-		L2:       NewCache(cfg.L2),
-		DRAM:     dram.New(cfg.DRAM),
+		L2:       l2,
+		DRAM:     d,
 		maxMSHRs: cfg.L1D.MSHRs,
 		prefetch: cfg.NextLinePrefetch,
 	}

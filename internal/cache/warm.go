@@ -31,7 +31,7 @@ const warmLineBytes = 4 + 1 // tag + dirty flag
 // WarmStateLen returns the maximum encoded warm-state size for this
 // cache (every set full).
 func (c *Cache) WarmStateLen() int {
-	return len(c.sets) * (1 + c.cfg.Ways*warmLineBytes)
+	return int(c.numSets) * (1 + c.cfg.Ways*warmLineBytes)
 }
 
 // AppendWarmState appends the canonical warm encoding: per set, a count
@@ -43,8 +43,8 @@ func (c *Cache) AppendWarmState(buf []byte) []byte {
 	if c.cfg.Ways > len(order) {
 		order = make([]int, c.cfg.Ways)
 	}
-	for si := range c.sets {
-		set := c.sets[si]
+	for si := uint32(0); si < c.numSets; si++ {
+		set := c.set(si)
 		n := 0
 		for i := range set {
 			if !set[i].valid {
@@ -80,8 +80,8 @@ func (c *Cache) AppendWarmState(buf []byte) []byte {
 // Counters are untouched.
 func (c *Cache) LoadWarmState(buf []byte) (int, error) {
 	off := 0
-	for si := range c.sets {
-		set := c.sets[si]
+	for si := uint32(0); si < c.numSets; si++ {
+		set := c.set(si)
 		if off >= len(buf) {
 			return 0, fmt.Errorf("cache: warm state truncated at set %d", si)
 		}
@@ -117,8 +117,6 @@ func (c *Cache) LoadWarmState(buf []byte) (int, error) {
 // share a geometry). Counters are untouched; the copy is exact, so a
 // state loaded from canonical bytes installs without re-normalizing.
 func (c *Cache) CopyWarmFrom(src *Cache) {
-	for si := range c.sets {
-		copy(c.sets[si], src.sets[si])
-	}
+	copy(c.lines, src.lines)
 	c.tick = src.tick
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"dmdp/internal/config"
+	"dmdp/internal/mem"
+	"dmdp/internal/trace"
 )
 
 // bigOCPattern is the occasionally-colliding pointer sweep of ocPattern
@@ -72,5 +74,43 @@ func TestCycleLoopDoesNotAllocate(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s: steady-state cycle loop allocates %.3f objects/cycle, want 0", m, avg)
 		}
+	}
+}
+
+// withPages returns a copy of tr whose initial image holds n pages.
+func withPages(tr *trace.Trace, n int) *trace.Trace {
+	img := mem.NewImage()
+	for i := 0; i < n; i++ {
+		img.SetWord(uint32(i)*mem.PageSize, uint32(i))
+	}
+	cp := *tr
+	cp.InitMem = img
+	return &cp
+}
+
+// TestNewAllocs pins the allocation count of building a core. Per-run
+// construction must not scale with the trace's memory image (Clone is
+// copy-on-write) or with the L2 (each cache level is one flat array).
+func TestNewAllocs(t *testing.T) {
+	const want = 50
+	tr := traceOf(t, aluLoop, 10_000)
+	allocs := func(cfg config.Config, tr *trace.Trace) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := New(cfg, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	cfg := config.Default(config.DMDP)
+	if got := allocs(cfg, withPages(tr, 1024)); got != want {
+		t.Errorf("core.New over a 1024-page image: %.0f allocations, want %d", got, want)
+	}
+	if got := allocs(cfg, withPages(tr, 4096)); got != want {
+		t.Errorf("core.New over a 4096-page image: %.0f allocations, want %d", got, want)
+	}
+	big := cfg
+	big.Hierarchy.L2.SizeBytes *= 4
+	if got := allocs(big, withPages(tr, 1024)); got != want {
+		t.Errorf("core.New with a 4x larger L2: %.0f allocations, want %d", got, want)
 	}
 }

@@ -190,19 +190,27 @@ func New(cfg config.Config, tr *trace.Trace) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if tr.InitMem == nil {
-		tr.InitMem = mem.NewImage()
+	return newCore(cfg, tr, cache.NewHierarchy(cfg.Hierarchy)), nil
+}
+
+// newCore builds a core over a validated configuration and the given
+// cache hierarchy. The trace is only read: a trace without an initial
+// image starts from an empty one.
+func newCore(cfg config.Config, tr *trace.Trace, hier *cache.Hierarchy) *Core {
+	image := mem.NewImage()
+	if tr.InitMem != nil {
+		image = tr.InitMem.Clone()
 	}
 	c := &Core{
 		cfg:       cfg,
 		tr:        tr,
-		hier:      cache.NewHierarchy(cfg.Hierarchy),
+		hier:      hier,
 		tlb:       tlb.New(cfg.TLB),
 		bp:        bpred.New(cfg.BPred),
 		tssbf:     memdep.NewTSSBF(cfg.TSSBF),
 		sdp:       newDistancePredictor(cfg),
 		sets:      memdep.NewStoreSets(cfg.SSITEntries, cfg.StoreSetCount),
-		image:     tr.InitMem.Clone(),
+		image:     image,
 		rf:        newRegFile(cfg.PhysRegs),
 		rob:       newRobQ(cfg.ROBSize),
 		sb:        newStoreBuffer(cfg.StoreBufferSize, cfg.Consistency == config.RMO),
@@ -223,7 +231,7 @@ func New(cfg config.Config, tr *trace.Trace) (*Core, error) {
 	}
 	c.trackInval = cfg.InvalidationInterval > 0 || (c.inj != nil && c.inj.WantsInvalidations())
 	c.ffEnabled = !cfg.DisableFastForward && c.inj == nil
-	return c, nil
+	return c
 }
 
 // Run simulates the whole trace and returns the statistics.

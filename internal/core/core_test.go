@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"dmdp/internal/asm"
@@ -364,6 +365,52 @@ func TestEmptyTrace(t *testing.T) {
 	st, err := c.Run()
 	if err != nil || st.Instructions != 0 {
 		t.Fatalf("empty trace: %v %+v", err, st)
+	}
+}
+
+// TestNewLeavesTraceUntouched builds cores concurrently over one trace,
+// with and without an initial image: New only reads the trace, every
+// core writes its own copy of the image, and results match a serial run.
+func TestNewLeavesTraceUntouched(t *testing.T) {
+	bare := *traceOf(t, aluLoop, 20000) // reads no memory
+	bare.InitMem = nil
+	for _, tr := range []*trace.Trace{traceOf(t, ocPattern, 20000), &bare} {
+		want := make([]int64, len(allModels))
+		for i, m := range allModels {
+			want[i] = runModel(t, tr, m).Cycles
+		}
+		var wg sync.WaitGroup
+		got := make([]int64, len(allModels))
+		errs := make([]error, len(allModels))
+		for i, m := range allModels {
+			wg.Add(1)
+			go func(i int, m config.Model) {
+				defer wg.Done()
+				c, err := New(config.Default(m), tr)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				st, err := c.Run()
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				got[i] = st.Cycles
+			}(i, m)
+		}
+		wg.Wait()
+		for i, m := range allModels {
+			if errs[i] != nil {
+				t.Fatalf("%s: %v", m, errs[i])
+			}
+			if got[i] != want[i] {
+				t.Errorf("%s: %d cycles concurrently, %d serially", m, got[i], want[i])
+			}
+		}
+	}
+	if bare.InitMem != nil {
+		t.Fatal("New installed an image in its caller's trace")
 	}
 }
 

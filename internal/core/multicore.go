@@ -222,20 +222,23 @@ func NewMachine(cfg MachineConfig, traces []*trace.Trace) (*Machine, error) {
 	if m.window <= 0 {
 		m.window = config.DefaultNoRetireWindow
 	}
-	for i := range m.cores {
-		c, err := New(cc, traces[i])
-		if err != nil {
-			return nil, fmt.Errorf("machine: core %d: %w", i, err)
-		}
-		m.cores[i] = c
+	if err := cc.Validate(); err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
 	}
+	var l2 *cache.Cache
+	var dr *dram.DRAM
 	if cfg.SharedL2 {
-		l2 := cache.NewCache(cc.Hierarchy.L2)
-		dr := dram.New(cc.Hierarchy.DRAM)
-		for _, c := range m.cores {
-			c.hier.L2 = l2
-			c.hier.DRAM = dr
+		l2 = cache.NewCache(cc.Hierarchy.L2)
+		dr = dram.New(cc.Hierarchy.DRAM)
+	}
+	for i := range m.cores {
+		var hier *cache.Hierarchy
+		if cfg.SharedL2 {
+			hier = cache.NewHierarchyOver(cc.Hierarchy, l2, dr)
+		} else {
+			hier = cache.NewHierarchy(cc.Hierarchy)
 		}
+		m.cores[i] = newCore(cc, traces[i], hier)
 	}
 	// Per-core interleaving streams: seed mixed with the core index so
 	// every (seed, core) pair is an independent splitmix sequence.

@@ -35,21 +35,27 @@ type sdpEntry struct {
 	used  int64
 }
 
+// sdpTable is one set-associative predictor table. Its sets are stored
+// back to back in one flat array: set si is
+// entries[si*ways : (si+1)*ways].
 type sdpTable struct {
-	sets [][]sdpEntry
-	tick int64
+	entries []sdpEntry
+	numSets uint32
+	ways    uint32
+	tick    int64
 }
 
 func newSDPTable(sets, ways int) *sdpTable {
-	t := &sdpTable{sets: make([][]sdpEntry, sets)}
-	for i := range t.sets {
-		t.sets[i] = make([]sdpEntry, ways)
-	}
-	return t
+	return &sdpTable{entries: make([]sdpEntry, sets*ways), numSets: uint32(sets), ways: uint32(ways)}
+}
+
+// set returns the ways of set si.
+func (t *sdpTable) set(si uint32) []sdpEntry {
+	return t.entries[si*t.ways : si*t.ways+t.ways]
 }
 
 func (t *sdpTable) find(index, tag uint32) *sdpEntry {
-	set := t.sets[index%uint32(len(t.sets))]
+	set := t.set(index % t.numSets)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			t.tick++
@@ -61,7 +67,7 @@ func (t *sdpTable) find(index, tag uint32) *sdpEntry {
 }
 
 func (t *sdpTable) insert(index, tag uint32, dist int64, conf uint8) *sdpEntry {
-	set := t.sets[index%uint32(len(t.sets))]
+	set := t.set(index % t.numSets)
 	victim := 0
 	for i := range set {
 		if !set[i].valid {

@@ -18,7 +18,7 @@ const (
 
 // WarmStateLen returns the maximum encoded warm-state size.
 func (s *SDP) WarmStateLen() int {
-	return 2 * len(s.ps.sets) * (1 + s.cfg.Ways*sdpEntryBytes)
+	return 2 * int(s.ps.numSets) * (1 + s.cfg.Ways*sdpEntryBytes)
 }
 
 // AppendWarmState appends both tables' canonical warm encodings
@@ -53,8 +53,8 @@ func (s *SDP) CopyWarmFrom(src *SDP) {
 func (t *sdpTable) appendWarm(buf []byte) []byte {
 	var orderBuf [64]int
 	order := orderBuf[:]
-	for si := range t.sets {
-		set := t.sets[si]
+	for si := uint32(0); si < t.numSets; si++ {
+		set := t.set(si)
 		if len(set) > len(order) {
 			order = make([]int, len(set))
 		}
@@ -84,8 +84,8 @@ func (t *sdpTable) appendWarm(buf []byte) []byte {
 
 func (t *sdpTable) loadWarm(buf []byte, ways int, confMax uint8) (int, error) {
 	off := 0
-	for si := range t.sets {
-		set := t.sets[si]
+	for si := uint32(0); si < t.numSets; si++ {
+		set := t.set(si)
 		if off >= len(buf) {
 			return 0, fmt.Errorf("warm state truncated at set %d", si)
 		}
@@ -122,9 +122,7 @@ func (t *sdpTable) loadWarm(buf []byte, ways int, confMax uint8) (int, error) {
 }
 
 func (t *sdpTable) copyFrom(src *sdpTable) {
-	for si := range t.sets {
-		copy(t.sets[si], src.sets[si])
-	}
+	copy(t.entries, src.entries)
 	t.tick = src.tick
 }
 
