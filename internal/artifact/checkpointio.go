@@ -143,21 +143,12 @@ func (s *Store) LoadCheckpoint(key Key) (*emu.Checkpoint, bool) {
 		return nil, false
 	}
 	path := s.path(key, checkpointSuffix)
-	buf, ok := readEntireOwned(path)
-	if !ok {
-		s.ckptMisses.Add(1)
-		return nil, false
-	}
-	ck := decodeCheckpoint(buf)
-	if ck == nil {
-		s.drop(path)
-		s.ckptMisses.Add(1)
-		return nil, false
-	}
-	s.ckptHits.Add(1)
-	s.bytesRead.Add(int64(len(buf)))
-	s.touch(path)
-	return ck, true
+	var ck *emu.Checkpoint
+	ok := s.load(path, &s.ckptHits, &s.ckptMisses, func(buf []byte) bool {
+		ck = decodeCheckpoint(buf)
+		return ck != nil
+	})
+	return ck, ok
 }
 
 // StoreCheckpoint persists ck under key (no-op for nil or read-only
@@ -249,21 +240,12 @@ func (s *Store) LoadPlan(key Key) (*PlanRecord, bool) {
 		return nil, false
 	}
 	path := s.path(key, planSuffix)
-	buf, ok := readEntireOwned(path)
-	if !ok {
-		s.ckptMisses.Add(1)
-		return nil, false
-	}
-	p := decodePlan(buf)
-	if p == nil {
-		s.drop(path)
-		s.ckptMisses.Add(1)
-		return nil, false
-	}
-	s.ckptHits.Add(1)
-	s.bytesRead.Add(int64(len(buf)))
-	s.touch(path)
-	return p, true
+	var p *PlanRecord
+	ok := s.load(path, &s.ckptHits, &s.ckptMisses, func(buf []byte) bool {
+		p = decodePlan(buf)
+		return p != nil
+	})
+	return p, ok
 }
 
 // StorePlan persists p under key (no-op for nil or read-only stores).

@@ -28,6 +28,8 @@ func TestRecordEncodingsPinned(t *testing.T) {
 		{"DMDPCKP1", encodeCheckpoint(testCheckpoint()), "5ea23a338361be17b603de685bf87202411986971618a55042df6ed5ec7665c9"},
 		{"DMDPPLN1", encodePlan(plan), "3e0ea6cb4ef6feedb157ab0a22d446484ec513e9dae055b7791189ee7393c4a6"},
 		{"DMDPCKP2", encodeWarm(warm), "ebd2cdd0560bb4cd567a426554a5183aa3a55a3c86311b2161d323056a12d9b7"},
+		{"DMDPMCH1", encodeMachine(testMachineStats()), "5d91133c0f2bf6b7c36e6a63629aa97f4ba1fc1cf2c9005b22341131ad21f584"},
+		{"DMDPSMP1", encodeSampled(testSampledPayload()), "e7be812cba06c3143fb596e94308643a6e6c3d15f280ddf116bb6e40aba34f34"},
 	} {
 		if string(tc.buf[:8]) != tc.name {
 			t.Errorf("%s: magic %q", tc.name, tc.buf[:8])

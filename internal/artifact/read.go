@@ -1,6 +1,9 @@
 package artifact
 
-import "os"
+import (
+	"os"
+	"sync/atomic"
+)
 
 // readEntireOwned reads the whole file into an owned buffer. Store
 // entries whose decoders copy everything out of the raw bytes —
@@ -18,4 +21,26 @@ func readEntireOwned(path string) ([]byte, bool) {
 		return nil, false
 	}
 	return data, true
+}
+
+// load reads the record file at path and hands it to decode, which
+// reports whether the bytes are a well-formed record. A missing file
+// counts a miss; a file decode rejects is dropped as corrupt and counts
+// a miss; an accepted one counts a hit and refreshes the file's LRU
+// mtime.
+func (s *Store) load(path string, hits, misses *atomic.Int64, decode func(buf []byte) bool) bool {
+	buf, ok := readEntireOwned(path)
+	if !ok {
+		misses.Add(1)
+		return false
+	}
+	if !decode(buf) {
+		s.drop(path)
+		misses.Add(1)
+		return false
+	}
+	hits.Add(1)
+	s.bytesRead.Add(int64(len(buf)))
+	s.touch(path)
+	return true
 }

@@ -38,20 +38,13 @@ func (s *Store) LoadStats(key Key) (*core.Stats, string, bool) {
 		return nil, "", false
 	}
 	path := s.path(key, resultSuffix)
-	buf, ok := readEntireOwned(path)
-	if !ok {
-		s.resultMisses.Add(1)
+	var st *core.Stats
+	if !s.load(path, &s.resultHits, &s.resultMisses, func(buf []byte) bool {
+		st = decodeStats(buf)
+		return st != nil
+	}) {
 		return nil, "", false
 	}
-	st := decodeStats(buf)
-	if st == nil {
-		s.drop(path)
-		s.resultMisses.Add(1)
-		return nil, "", false
-	}
-	s.resultHits.Add(1)
-	s.bytesRead.Add(int64(len(buf)))
-	s.touch(path)
 	return st, path, true
 }
 

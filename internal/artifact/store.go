@@ -165,7 +165,15 @@ type Store struct {
 	degradedWhy atomic.Value // string
 	warnFn      func(msg string)
 
-	evictMu sync.Mutex // serializes size-cap walks
+	// evictMu guards the size-cap accounting. used is the running byte
+	// count of the directory: seeded by one scan on the first publish,
+	// advanced by each publish, and reset by the exact scan-and-evict,
+	// which runs only when the count passes maxBytes (see account).
+	// scans counts directory scans (tests pin it).
+	evictMu sync.Mutex
+	counted bool
+	used    int64
+	scans   int
 
 	// loaded memoizes decoded traces per key, tagged with the identity
 	// of the file they were decoded from (see traceio.go). Reloading an
@@ -417,7 +425,7 @@ func (s *Store) publish(path string, data []byte) {
 	}
 	s.writes.Add(1)
 	s.bytesWritten.Add(int64(len(data)))
-	s.enforceCap()
+	s.account(int64(len(data)))
 }
 
 // touch refreshes a file's mtime so LRU eviction sees the hit. Read-only
@@ -437,15 +445,44 @@ func (s *Store) drop(path string) {
 	}
 }
 
+// account adds a published entry's bytes to the running count and runs
+// the exact scan-and-evict only when the count passes the cap; the first
+// publish seeds the count with one scan. The count errs high, never low,
+// for this process's own writes: replacing an existing entry or dropping
+// a corrupt one is not subtracted, so the exact scan just comes sooner.
+// Entries other processes publish into the same directory are only seen
+// by the next exact scan, so with several writers the directory can
+// exceed the cap by their writes until some writer's count crosses it.
+func (s *Store) account(n int64) {
+	s.evictMu.Lock()
+	defer s.evictMu.Unlock()
+	if s.counted {
+		s.used += n
+		if s.used <= s.maxBytes {
+			return
+		}
+	}
+	s.scanAndEvict()
+}
+
 // enforceCap deletes least-recently-used cache files until the directory
-// is under maxBytes. Only complete entries (never tmp files being
-// written elsewhere) are considered; races with concurrent writers are
-// benign because entries are immutable once renamed in.
+// is under maxBytes, from an exact scan of the directory.
 func (s *Store) enforceCap() {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
+	s.scanAndEvict()
+}
+
+// scanAndEvict is enforceCap with evictMu held; it resets the running
+// count to the bytes that remain. Only complete entries (never tmp files
+// being written elsewhere) are eviction candidates; races with
+// concurrent writers are benign because entries are immutable once
+// renamed in.
+func (s *Store) scanAndEvict() {
+	s.scans++
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
+		s.counted = false // rescan on the next publish
 		return
 	}
 	type file struct {
@@ -473,6 +510,7 @@ func (s *Store) enforceCap() {
 			mtime: info.ModTime().UnixNano(),
 		})
 	}
+	s.counted, s.used = true, total
 	if total <= s.maxBytes {
 		return
 	}
@@ -497,4 +535,5 @@ func (s *Store) enforceCap() {
 			s.evictions.Add(1)
 		}
 	}
+	s.used = total
 }

@@ -89,21 +89,14 @@ func (s *Store) LoadWarm(key Key) (*WarmRecord, bool) {
 		return nil, false
 	}
 	path := s.path(key, warmSuffix)
-	buf, ok := readEntireOwned(path)
-	if !ok {
-		s.warmMisses.Add(1)
+	var r *WarmRecord
+	if !s.load(path, &s.warmHits, &s.warmMisses, func(buf []byte) bool {
+		r = decodeWarm(buf)
+		return r != nil
+	}) {
 		return nil, false
 	}
-	r := decodeWarm(buf)
-	if r == nil {
-		s.drop(path)
-		s.warmMisses.Add(1)
-		return nil, false
-	}
-	s.warmHits.Add(1)
 	s.warmBytes.Add(int64(len(r.Payload)))
-	s.bytesRead.Add(int64(len(buf)))
-	s.touch(path)
 	return r, true
 }
 

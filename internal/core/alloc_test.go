@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"dmdp/internal/config"
@@ -65,16 +66,32 @@ func TestCycleLoopDoesNotAllocate(t *testing.T) {
 		if c.done {
 			t.Fatalf("%s: trace too short: simulation finished during warmup", m)
 		}
-		avg := testing.AllocsPerRun(5_000, func() {
-			c.step(window, 0)
+		const cycles = 5_000
+		mallocs := countMallocs(func() {
+			for i := 0; i < cycles; i++ {
+				c.step(window, 0)
+			}
 		})
 		if c.done || c.simErr != nil {
 			t.Fatalf("%s: simulation ended during measurement (err=%v)", m, c.simErr)
 		}
-		if avg != 0 {
-			t.Errorf("%s: steady-state cycle loop allocates %.3f objects/cycle, want 0", m, avg)
+		if mallocs != 0 {
+			t.Errorf("%s: %d heap allocations over %d steady-state cycles, want 0", m, mallocs, cycles)
 		}
 	}
+}
+
+// countMallocs returns the total number of heap allocations f makes.
+// Unlike testing.AllocsPerRun, which integer-divides by the run count,
+// it reports every allocation: one malloc every few cycles must fail
+// the guard, not round down to zero per cycle.
+func countMallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // withPages returns a copy of tr whose initial image holds n pages.

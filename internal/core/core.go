@@ -553,7 +553,9 @@ func (c *Core) finishCommit(i int) {
 	e := c.sb.entries[i]
 	c.image.Write(e.addr, e.size, e.value)
 	if c.drainHook != nil {
-		c.drainHook(&e)
+		// Hand the hook the buffer slot, not &e: a pointer to the local
+		// copy would move e to the heap on every committed store.
+		c.drainHook(&c.sb.entries[i])
 	}
 	if c.trackInval {
 		line := e.addr &^ uint32(c.hier.LineBytes()-1)

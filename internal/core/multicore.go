@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"dmdp/internal/cache"
@@ -98,6 +102,41 @@ type MachineConfig struct {
 	MaxGlobalCycles int64
 }
 
+// Digest is the content hash of the machine description: the per-core
+// config digest plus every machine-level field. Persisted machine
+// results are keyed by it (with the trace key and budget), so a field
+// left out here would let two different machines share one record;
+// TestMachineDigestCoversEveryField perturbs each field.
+func (c *MachineConfig) Digest() config.Digest {
+	h := sha256.New()
+	h.Write([]byte("dmdp-machine\x00"))
+	cd := c.Core.Digest()
+	h.Write(cd[:])
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	flag := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	put(uint64(c.Cores))
+	put(uint64(c.MemModel))
+	put(c.Seed)
+	put(math.Float64bits(c.StallProb))
+	put(uint64(c.MaxStagger))
+	put(flag(c.Semantics))
+	put(flag(c.Weaken))
+	put(flag(c.SharedL2))
+	put(uint64(c.MaxGlobalCycles))
+	var d config.Digest
+	h.Sum(d[:0])
+	return d
+}
+
 // DefaultMachineConfig returns an n-core machine over the given per-core
 // model with litmus-grade defaults: semantics on, shared L2, moderate
 // interleaving jitter.
@@ -115,7 +154,9 @@ func DefaultMachineConfig(n int, model config.Model, mm MemModel) MachineConfig 
 
 // MachineStats aggregates a multicore run. Machine-level counters live
 // here, deliberately outside core.Stats (whose canonical codec and
-// golden digests are frozen).
+// golden digests are frozen). The artifact store persists it as its own
+// record (DMDPMCH1), which embeds each core's canonical Stats encoding
+// and leaves SimWallClockNS out.
 type MachineStats struct {
 	GlobalCycles int64
 	Instructions int64 // retired, summed over cores
@@ -159,6 +200,63 @@ func (s *MachineStats) DigestLines() []string {
 			i, c.Cycles, c.Instructions, c.Reexecs, c.Invalidations))
 	}
 	return lines
+}
+
+// machineFixed is the length of the fixed head of a canonical machine
+// encoding: seven machine counters and the core count.
+const machineFixed = 8 * 8
+
+// MarshalCanonical serializes a machine result into its canonical
+// little-endian form (the DMDPMCH1 artifact payload and the verify-mode
+// comparison): GlobalCycles, Instructions, DrainEvents,
+// RemoteInvalidations, RemoteStamps, EnforcedReads, StaleReadsKept and
+// the core count, 8 bytes each, then every core's canonical Stats
+// encoding in core order. SimWallClockNS is left out, as in the Stats
+// encoding.
+func (s *MachineStats) MarshalCanonical() []byte {
+	buf := make([]byte, 0, machineFixed+len(s.PerCore)*statsWireSize)
+	for _, v := range [...]int64{
+		s.GlobalCycles, s.Instructions, s.DrainEvents,
+		s.RemoteInvalidations, s.RemoteStamps, s.EnforcedReads,
+		s.StaleReadsKept, int64(len(s.PerCore)),
+	} {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	for i := range s.PerCore {
+		buf = append(buf, s.PerCore[i].MarshalCanonical()...)
+	}
+	return buf
+}
+
+// UnmarshalCanonicalMachine decodes a MarshalCanonical encoding. The
+// length must match the encoded core count exactly.
+func UnmarshalCanonicalMachine(data []byte) (*MachineStats, error) {
+	if len(data) < machineFixed {
+		return nil, fmt.Errorf("core: canonical machine stats length %d, want at least %d", len(data), machineFixed)
+	}
+	var v [machineFixed / 8]int64
+	for i := range v {
+		v[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	n := v[7]
+	if n < 1 || n > int64(len(data)/statsWireSize) || len(data) != machineFixed+int(n)*statsWireSize {
+		return nil, fmt.Errorf("core: canonical machine stats length %d does not hold %d cores", len(data), n)
+	}
+	s := &MachineStats{
+		GlobalCycles: v[0], Instructions: v[1], DrainEvents: v[2],
+		RemoteInvalidations: v[3], RemoteStamps: v[4], EnforcedReads: v[5],
+		StaleReadsKept: v[6],
+		PerCore:        make([]Stats, n),
+	}
+	for i := range s.PerCore {
+		off := machineFixed + i*statsWireSize
+		st, err := UnmarshalCanonicalStats(data[off : off+statsWireSize])
+		if err != nil {
+			return nil, err
+		}
+		s.PerCore[i] = *st
+	}
+	return s, nil
 }
 
 // mcRand is a splitmix64 stream (stable across Go versions, one stream
@@ -280,9 +378,25 @@ func (m *Machine) coreFinished(i int) bool {
 }
 
 // Run steps all cores to completion and returns the machine statistics.
-func (m *Machine) Run() (*MachineStats, error) {
+func (m *Machine) Run() (*MachineStats, error) { return m.RunContext(context.Background()) }
+
+// RunContext is Run bounded by ctx: once ctx is done the machine stops
+// with a structured ErrCanceled SimError (polled every
+// cancelPollInterval global cycles, like a single core's RunContext).
+func (m *Machine) RunContext(ctx context.Context) (*MachineStats, error) {
 	start := time.Now()
+	done := ctx.Done()
+	poll := cancelPollInterval - 1 // the first cycle polls too
 	for {
+		if poll++; done != nil && poll >= cancelPollInterval {
+			poll = 0
+			select {
+			case <-done:
+				return nil, &SimError{Kind: ErrCanceled, Idx: -1,
+					Msg: fmt.Sprintf("machine: run cancelled: %v (global cycle %d)", ctx.Err(), m.g)}
+			default:
+			}
+		}
 		alive := false
 		for i := range m.cores {
 			if !m.coreFinished(i) {

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -332,5 +335,100 @@ func TestMachineRejectsBadConfig(t *testing.T) {
 	bad.Core.Consistency = config.RMO
 	if _, err := NewMachine(bad, trs); err == nil {
 		t.Error("accepted RMO per-core consistency")
+	}
+}
+
+// TestMachineDigestCoversEveryField perturbs each MachineConfig field
+// and requires the digest to change: a field the hash skipped would let
+// two different machines share one persisted result.
+func TestMachineDigestCoversEveryField(t *testing.T) {
+	base := DefaultMachineConfig(2, config.DMDP, MemTSO)
+	baseDigest := base.Digest()
+	v := reflect.ValueOf(&base).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		old := reflect.New(f.Type()).Elem()
+		old.Set(f)
+		switch f.Kind() {
+		case reflect.Struct:
+			if f.Type() != reflect.TypeOf(config.Config{}) {
+				t.Fatalf("%s: unexpected struct field %s", name, f.Type())
+			}
+			base.Core = base.Core.WithStoreBuffer(16) // Config.Digest covers every Config field
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.5)
+		default:
+			t.Fatalf("%s: unexpected field kind %v (hash it in MachineConfig.Digest and extend this test)", name, f.Kind())
+		}
+		if base.Digest() == baseDigest {
+			t.Errorf("MachineConfig.%s: digest ignores field", name)
+		}
+		f.Set(old)
+	}
+	if base.Digest() != baseDigest {
+		t.Fatal("perturbation walk did not restore the config")
+	}
+}
+
+// TestMachineRunContextCancels: a machine run under a cancelled context
+// stops with a structured ErrCanceled SimError.
+func TestMachineRunContextCancels(t *testing.T) {
+	trs := threadTraces(t, sbSource, 2, 1000)
+	m, err := NewMachine(sbMachineConfig(config.DMDP, MemTSO, 0), trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.RunContext(ctx); !Canceled(err) {
+		t.Fatalf("cancelled machine run returned %v, want an ErrCanceled SimError", err)
+	}
+}
+
+// TestMachineCodecCoversEveryField fills every MachineStats counter
+// with a distinct value and requires the canonical encoding to round
+// trip it (SimWallClockNS excluded by design): a counter the codec
+// skipped would decode as zero, and a field of a new kind fails until
+// the codec learns it.
+func TestMachineCodecCoversEveryField(t *testing.T) {
+	ms := &MachineStats{PerCore: []Stats{*fillStats(t), *fillStats(t)}}
+	ms.PerCore[1].Cycles++
+	v := reflect.ValueOf(ms).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch {
+		case name == "PerCore":
+		case f.Kind() == reflect.Int64:
+			f.SetInt(int64(1000 + i))
+		default:
+			t.Fatalf("MachineStats.%s: unsupported kind %s (extend MarshalCanonical and UnmarshalCanonicalMachine)", name, f.Kind())
+		}
+	}
+	enc := ms.MarshalCanonical()
+	dec, err := UnmarshalCanonicalMachine(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *ms
+	want.SimWallClockNS = 0
+	for i := range want.PerCore {
+		want.PerCore[i].SimWallClockNS = 0
+	}
+	if !reflect.DeepEqual(dec, &want) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", dec, &want)
+	}
+	if !bytes.Equal(dec.MarshalCanonical(), enc) {
+		t.Fatal("encode -> decode -> encode is not byte-identical")
+	}
+	for _, bad := range [][]byte{nil, enc[:8*8], enc[:len(enc)-1], append(append([]byte(nil), enc...), 0)} {
+		if _, err := UnmarshalCanonicalMachine(bad); err == nil {
+			t.Errorf("%d-byte encoding accepted", len(bad))
+		}
 	}
 }

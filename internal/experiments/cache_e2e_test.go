@@ -8,6 +8,7 @@ import (
 
 	"dmdp/internal/artifact"
 	"dmdp/internal/config"
+	"dmdp/internal/sampling"
 	"dmdp/internal/workload"
 )
 
@@ -189,5 +190,71 @@ func TestVerifyDetectsPoisonedResult(t *testing.T) {
 	fails := vr.Failures()
 	if len(fails) != 1 || fails[0].Diagnostic == "" {
 		t.Errorf("verify failure not recorded with a diagnostic: %+v", fails)
+	}
+}
+
+// TestVerifyDetectsPoisonedMachineAndSampledRecords is
+// TestVerifyDetectsPoisonedResult for the other two record kinds: a
+// well-formed machine record and a well-formed sampled record carrying
+// wrong numbers are trusted by a plain warm run and fail -cache verify
+// with a structured *artifact.VerifyError each.
+func TestVerifyDetectsPoisonedMachineAndSampledRecords(t *testing.T) {
+	dir := t.TempDir()
+	rw := openStore(t, dir, artifact.RW)
+	r := NewRunner(Options{Budget: e2eBudget, Benchmarks: e2eBenches, Cache: rw})
+	ms := mcSpec("perl", config.DMDP, 2)
+	ss := r.sampErrSpec("perl", config.DMDP, false)
+	honestM, err := r.RunMachine(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honestS, err := r.RunSampled(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec, _ := workload.Get("perl")
+	tk := artifact.TraceKey(spec.SourceHash(), e2eBudget)
+	mkey := artifact.MachineKey(tk, ms.Cfg.Digest(), e2eBudget)
+	skey := artifact.SampledKey(tk, ss.Cfg.Digest(), e2eBudget, ss.Spec.String(), ss.Warm, sampling.PlannerVersion)
+	poisonM := *honestM
+	poisonM.GlobalCycles += 1_000_000
+	rw.StoreMachine(mkey, &poisonM)
+	poisonS := *honestS.Combined
+	poisonS.WeightedIPC += 1
+	rw.StoreSampled(skey, poisonS.MarshalCanonical())
+
+	// A plain warm run trusts both poisons.
+	trusting := NewRunner(Options{Budget: e2eBudget, Benchmarks: e2eBenches,
+		Cache: openStore(t, dir, artifact.RW)})
+	if m, err := trusting.RunMachine(ms); err != nil || m.GlobalCycles != poisonM.GlobalCycles {
+		t.Fatalf("warm machine run did not return the poisoned record (err=%v)", err)
+	}
+	if s, err := trusting.RunSampled(ss); err != nil || s.Combined.WeightedIPC != poisonS.WeightedIPC {
+		t.Fatalf("warm sampled run did not return the poisoned record (err=%v)", err)
+	}
+	if n := trusting.Sims(); n != 0 {
+		t.Fatalf("warm runner simulated %d times; both records should hit", n)
+	}
+
+	vr := NewRunner(Options{Budget: e2eBudget, Benchmarks: e2eBenches,
+		Cache: openStore(t, dir, artifact.Verify)})
+	_, errM := vr.RunMachine(ms)
+	_, errS := vr.RunSampled(ss)
+	for _, c := range []struct {
+		err   error
+		key   artifact.Key
+		label string
+	}{{errM, mkey, ms.Label}, {errS, skey, ss.Label}} {
+		var verr *artifact.VerifyError
+		if !errors.As(c.err, &verr) {
+			t.Fatalf("%s: want *artifact.VerifyError, got %T: %v", c.label, c.err, c.err)
+		}
+		if verr.Bench != "perl" || verr.Label != c.label || verr.Key != c.key {
+			t.Errorf("verify error misattributed: %+v", verr)
+		}
+	}
+	if fails := vr.Failures(); len(fails) != 2 || fails[0].Diagnostic == "" || fails[1].Diagnostic == "" {
+		t.Errorf("verify failures not recorded with diagnostics: %+v", fails)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dmdp/internal/config"
 	"dmdp/internal/core"
+	"dmdp/internal/sampling"
 )
 
 // smallRunner uses a tiny budget and a benchmark subset so every
@@ -212,9 +213,33 @@ func TestWarmUpCoversAllRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := r.sims.Load()
+	// The warm-up simulated each distinct declared run once, whatever
+	// its kind: Sims counts machine and sampled runs too, so the check
+	// below covers every kind of run a render could make.
+	seen := make(map[any]bool)
 	for _, e := range All() {
-		if e.Runs == nil {
-			t.Errorf("%s: no Runs declaration", e.ID)
+		if e.Runs != nil {
+			for _, s := range e.Runs(r) {
+				seen[runKey{bench: s.Bench, digest: s.Cfg.Digest(), budget: r.opt.Budget}] = true
+			}
+		}
+		if e.Machines != nil {
+			for _, s := range e.Machines(r) {
+				seen[r.machineKey(s)] = true
+			}
+		}
+		if e.Sampled != nil {
+			for _, s := range e.Sampled(r) {
+				seen[r.sampledKey(s)] = true
+			}
+		}
+	}
+	if warm != int64(len(seen)) {
+		t.Errorf("warm-up simulated %d times for %d distinct declared runs", warm, len(seen))
+	}
+	for _, e := range All() {
+		if e.Runs == nil && e.Machines == nil && e.Sampled == nil {
+			t.Errorf("%s: declares no runs", e.ID)
 		}
 		if _, err := e.Run(r); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
@@ -324,5 +349,46 @@ func TestDefaultOptionsFillIn(t *testing.T) {
 	}
 	if len(r.Benchmarks()) != 21 {
 		t.Fatal("benchmarks not defaulted")
+	}
+}
+
+// TestConcurrentIdenticalMachineAndSampledRunsSimulateOnce: concurrent
+// callers asking for the same machine run, or the same sampled run,
+// share one simulation of it and all receive the same result.
+func TestConcurrentIdenticalMachineAndSampledRunsSimulateOnce(t *testing.T) {
+	r := NewRunner(Options{Budget: 20_000, Benchmarks: []string{"hmmer"}, Parallel: true, Jobs: 2})
+	const callers = 8
+	var machines [callers]*core.MachineStats
+	var sampled [callers]*sampling.Outcome
+	var errs [2 * callers]error
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < callers; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			machines[i], errs[i] = r.RunMachine(mcSpec("hmmer", config.DMDP, 2))
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			sampled[i], errs[callers+i] = r.RunSampled(r.sampErrSpec("hmmer", config.DMDP, false))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	for i := range machines {
+		if machines[i] != machines[0] || sampled[i] != sampled[0] {
+			t.Fatalf("caller %d got a different result than caller 0", i)
+		}
+	}
+	if n := r.Sims(); n != 2 {
+		t.Fatalf("%d concurrent callers of one machine and one sampled run simulated %d times, want 2", callers, n)
 	}
 }

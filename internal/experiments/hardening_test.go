@@ -8,6 +8,7 @@ import (
 	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/faults"
+	"dmdp/internal/sampling"
 )
 
 // poisonedRunner makes hmmer's default DMDP machine fail: a run with
@@ -31,7 +32,7 @@ func poisonedRunner(t *testing.T) *Runner {
 	def := config.Default(config.DMDP)
 	r.mu.Lock()
 	src := r.calls[runKey{bench: "hmmer", digest: cfg.Digest(), budget: r.opt.Budget}]
-	r.calls[runKey{bench: "hmmer", digest: def.Digest(), budget: r.opt.Budget}] = &runCall{res: src.res}
+	r.calls[runKey{bench: "hmmer", digest: def.Digest(), budget: r.opt.Budget}] = &flight[*core.Stats]{res: src.res}
 	r.mu.Unlock()
 	return r
 }
@@ -160,4 +161,65 @@ func TestPanicConvertedToFailure(t *testing.T) {
 	if !strings.Contains(fs[0].Err.Error(), "panic:") {
 		t.Errorf("error does not carry the panic: %v", fs[0].Err)
 	}
+}
+
+// A failed machine run and a failed sampled run are Failure rows like a
+// failed single-core run: the table drops the benchmark's row, the
+// failure table names the run, and the other benchmarks still render.
+func TestFailedMachineAndSampledRunsAreFailureRows(t *testing.T) {
+	r := NewRunner(Options{Budget: 4000, Benchmarks: []string{"hmmer", "bzip2"}, Parallel: false})
+	machine := mcSpec("hmmer", config.DMDP, 4)
+	badMachine := machine
+	badMachine.Cfg.MaxGlobalCycles = 10 // a bound the run cannot meet
+	if _, err := r.RunMachine(badMachine); err == nil {
+		t.Fatal("bounded machine run unexpectedly succeeded")
+	}
+	sampled := r.sampErrSpec("hmmer", config.DMDP, false)
+	badSampled := sampled
+	badSampled.Spec = sampling.Spec{Count: 10, Len: 1_000_000} // longer than the trace
+	if _, err := r.RunSampled(badSampled); err == nil {
+		t.Fatal("oversized sampled run unexpectedly succeeded")
+	}
+	// Alias both failures onto the runs the tables declare, as
+	// poisonedRunner does for a single-core run.
+	r.mu.Lock()
+	r.machines[r.machineKey(machine)] = r.machines[r.machineKey(badMachine)]
+	r.sampled[r.sampledKey(sampled)] = r.sampled[r.sampledKey(badSampled)]
+	r.mu.Unlock()
+
+	for _, e := range []Experiment{mustExperiment(t, "mc-ipc"), mustExperiment(t, "samp-err")} {
+		out, err := e.Run(r)
+		if err != nil {
+			t.Fatalf("%s aborted instead of degrading: %v", e.ID, err)
+		}
+		if hasRow(out, "hmmer") {
+			t.Errorf("%s: failed benchmark still has a row:\n%s", e.ID, out)
+		}
+		if !hasRow(out, "bzip2") {
+			t.Errorf("%s: healthy benchmark lost its row:\n%s", e.ID, out)
+		}
+	}
+	fs := r.Failures()
+	if len(fs) != 2 {
+		t.Fatalf("%d failures recorded, want 2: %+v", len(fs), fs)
+	}
+	var se *core.SimError
+	if fs[0].Bench != "hmmer" || fs[0].Label != "dmdp 4c" || !errors.As(fs[0].Err, &se) || se.Kind != core.ErrWatchdog {
+		t.Errorf("machine failure misreported: %+v", fs[0])
+	}
+	if fs[1].Bench != "hmmer" || fs[1].Label != "dmdp sampled" || !strings.Contains(fs[1].Err.Error(), "exceed trace length") {
+		t.Errorf("sampled failure misreported: %+v", fs[1])
+	}
+	if table := r.FailureTable(); !strings.Contains(table, "dmdp 4c") || !strings.Contains(table, "dmdp sampled") {
+		t.Errorf("failure table lacks the machine or sampled row:\n%s", table)
+	}
+}
+
+func mustExperiment(t *testing.T, id string) Experiment {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	return e
 }

@@ -1,21 +1,92 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"dmdp/internal/artifact"
 	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/stats"
 	"dmdp/internal/trace"
 )
 
+// MachineSpec names one multicore machine run: the benchmark's trace
+// replicated on every core of the machine Cfg describes, and the
+// display label its failure rows use.
+type MachineSpec struct {
+	Bench string
+	Cfg   core.MachineConfig
+	Label string
+}
+
+// machineKey identifies a machine run in the in-memory result table;
+// the digest covers every MachineConfig field.
+type machineKey struct {
+	bench  string
+	digest config.Digest
+	budget int64
+}
+
+func (r *Runner) machineKey(s MachineSpec) machineKey {
+	return machineKey{bench: s.Bench, digest: s.Cfg.Digest(), budget: r.opt.Budget}
+}
+
+// RunMachine runs (or reads back) the machine s describes. Machine runs
+// go through the same path as single-core runs: concurrent callers
+// share one simulation, results persist in the artifact store as
+// DMDPMCH1 records keyed by trace, machine digest and budget, verify
+// mode re-simulates hits, and a failure is cached and recorded as a
+// Failure row under s.Label.
+func (r *Runner) RunMachine(s MachineSpec) (*core.MachineStats, error) {
+	return r.runMachine(r.ctx(), s)
+}
+
+func (r *Runner) runMachine(ctx context.Context, s MachineSpec) (*core.MachineStats, error) {
+	res := join(r, r.machines, r.machineKey(s), func() outcome[*core.MachineStats] {
+		return execute(ctx, r, r.machineJob(s))
+	})
+	return deliver(r, s.Bench, s.Label, res)
+}
+
+func (r *Runner) machineJob(s MachineSpec) *job[*core.MachineStats] {
+	j := &job[*core.MachineStats]{
+		bench: s.Bench, label: s.Label,
+		canon: (*core.MachineStats).MarshalCanonical,
+		sim: func(ctx context.Context, tr *trace.Trace, _ bool) (*core.MachineStats, error) {
+			traces := make([]*trace.Trace, s.Cfg.Cores)
+			for i := range traces {
+				traces[i] = tr
+			}
+			m, err := core.NewMachine(s.Cfg, traces)
+			if err != nil {
+				return nil, err
+			}
+			ms, err := m.RunContext(ctx)
+			if err != nil {
+				return nil, err
+			}
+			cp := *ms // detach from the machine, as coreJob does
+			return &cp, nil
+		},
+	}
+	if tk, ok := r.traceKey(s.Bench); ok && !s.Cfg.Core.Faults.Enabled() {
+		j.key = artifact.MachineKey(tk, s.Cfg.Digest(), r.opt.Budget)
+		j.load = func() (*core.MachineStats, string, bool) { return r.opt.Cache.LoadMachine(j.key) }
+		j.save = func(ms *core.MachineStats) { r.opt.Cache.StoreMachine(j.key, ms) }
+	}
+	return j
+}
+
 // mcCoreCounts are the machine sizes the multicore table sweeps.
 var mcCoreCounts = []int{1, 2, 4}
 
+// mcModels are the per-core models the multicore table compares.
+var mcModels = []config.Model{config.Baseline, config.DMDP}
+
 // mcBenchCap bounds the multicore table to the first few proxies: each
-// cell is an uncached N-core machine run (machine results deliberately
-// stay outside the single-core artifact store), so the table pays
-// cores × benches full simulations every time.
+// cell is an N-core machine run, so a cold table pays cores × benches
+// full simulations (a warm store serves them as DMDPMCH1 records).
 const mcBenchCap = 6
 
 func mcBenchmarks(r *Runner) []string {
@@ -26,30 +97,30 @@ func mcBenchmarks(r *Runner) []string {
 	return b
 }
 
-// McIPCRuns declares no cached runs: every cell is a multicore machine
-// simulation executed inline by McIPC (the core.Stats result cache only
-// understands single-core runs).
-func McIPCRuns(r *Runner) []RunSpec { return nil }
+// McIPCMachines declares every machine the multicore table reads.
+func McIPCMachines(r *Runner) []MachineSpec {
+	var out []MachineSpec
+	for _, b := range mcBenchmarks(r) {
+		for _, model := range mcModels {
+			for _, n := range mcCoreCounts {
+				out = append(out, mcSpec(b, model, n))
+			}
+		}
+	}
+	return out
+}
 
-// mcRun executes one N-core machine with the workload trace replicated
-// on every core: a homogeneous-rate contention study over the shared
-// L2 (timing only — the semantic coupling layer is for litmus programs
+// mcSpec is one N-core machine with the workload trace replicated on
+// every core: a homogeneous-rate contention study over the shared L2
+// (timing only — the semantic coupling layer is for litmus programs
 // whose addresses are independent of shared data).
-func mcRun(tr *trace.Trace, model config.Model, n int) (*core.MachineStats, error) {
+func mcSpec(bench string, model config.Model, n int) MachineSpec {
 	cfg := core.DefaultMachineConfig(n, model, core.MemTSO)
 	cfg.Semantics = false
 	// Litmus-grade interleaving jitter is noise for an IPC study: run
 	// deterministic lockstep (start skew only).
 	cfg.StallProb = 0
-	traces := make([]*trace.Trace, n)
-	for i := range traces {
-		traces[i] = tr
-	}
-	m, err := core.NewMachine(cfg, traces)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run()
+	return MachineSpec{Bench: bench, Cfg: cfg, Label: fmt.Sprintf("%s %dc", model, n)}
 }
 
 // McIPC renders the multicore scaling table: aggregate IPC of 1, 2 and
@@ -62,16 +133,12 @@ func McIPC(r *Runner) (string, error) {
 	t := stats.NewTable("Multicore: aggregate IPC over a shared L2 (same trace per core)",
 		"bench", "base 1c", "base 2c", "base 4c", "dmdp 1c", "dmdp 2c", "dmdp 4c", "dmdp stamps 4c")
 	for _, b := range mcBenchmarks(r) {
-		tr, err := r.Trace(b)
-		if err != nil {
-			continue // trace build failure already recorded by the runner
-		}
 		row := []any{b}
 		var stamps int64
 		ok := true
-		for _, model := range []config.Model{config.Baseline, config.DMDP} {
+		for _, model := range mcModels {
 			for _, n := range mcCoreCounts {
-				st, err := mcRun(tr, model, n)
+				st, err := r.RunMachine(mcSpec(b, model, n))
 				if err != nil {
 					ok = false
 					break
@@ -86,7 +153,7 @@ func McIPC(r *Runner) (string, error) {
 			}
 		}
 		if !ok {
-			continue
+			continue // failure recorded; row omitted
 		}
 		row = append(row, fmt.Sprintf("%d", stamps))
 		t.AddF(3, row...)

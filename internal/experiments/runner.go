@@ -9,13 +9,10 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -87,27 +84,6 @@ type runKey struct {
 	budget int64
 }
 
-// runResult is one completed (or failed) simulation. Failures are cached
-// too (negative caching): a deterministic failure would fail again, so
-// experiments sharing the run all see the same error without
-// re-simulating — and without consuming the retry a second time.
-type runResult struct {
-	st         *core.Stats
-	err        error // bare cause; labels are attached per caller
-	panicked   bool
-	retried    bool
-	canceled   bool // context cancellation, never negative-cached
-	diagnostic string
-}
-
-// runCall is an in-flight or completed simulation (inline singleflight):
-// the first caller executes, every later caller with the same key waits
-// on wg and shares the result.
-type runCall struct {
-	wg  sync.WaitGroup
-	res runResult
-}
-
 // traceCall is the singleflight slot for one proxy's trace build.
 type traceCall struct {
 	wg  sync.WaitGroup
@@ -126,11 +102,13 @@ type keyCall struct {
 // Runner caches traces and simulation results across experiments.
 type Runner struct {
 	opt  Options
-	sims atomic.Int64 // actual core executions (not cache hits)
+	sims atomic.Int64 // simulations of any kind executed (not cache hits)
 
 	mu       sync.Mutex
 	traces   map[string]*traceCall
-	calls    map[runKey]*runCall
+	calls    map[runKey]*flight[*core.Stats]
+	machines map[machineKey]*flight[*core.MachineStats]
+	sampled  map[sampledKey]*flight[*sampling.Outcome]
 	keys     map[string]*keyCall
 	failures []Failure
 }
@@ -144,10 +122,12 @@ func NewRunner(opt Options) *Runner {
 		opt.Benchmarks = workload.Names()
 	}
 	return &Runner{
-		opt:    opt,
-		traces: make(map[string]*traceCall),
-		calls:  make(map[runKey]*runCall),
-		keys:   make(map[string]*keyCall),
+		opt:      opt,
+		traces:   make(map[string]*traceCall),
+		calls:    make(map[runKey]*flight[*core.Stats]),
+		machines: make(map[machineKey]*flight[*core.MachineStats]),
+		sampled:  make(map[sampledKey]*flight[*sampling.Outcome]),
+		keys:     make(map[string]*keyCall),
 	}
 }
 
@@ -163,8 +143,9 @@ func (r *Runner) ctx() context.Context {
 	return context.Background()
 }
 
-// Sims returns the number of actual core executions so far (cache hits
-// excluded) — the warm-cache and singleflight test oracle.
+// Sims returns the number of simulations executed so far — single-core,
+// machine and sampled runs alike, cache hits excluded — the warm-cache
+// and singleflight test oracle.
 func (r *Runner) Sims() int64 { return r.sims.Load() }
 
 // traceKey returns the persistent trace-store key for a benchmark
@@ -288,164 +269,43 @@ func (r *Runner) Run(name string, cfg config.Config, label string) (*core.Stats,
 // outcome).
 func (r *Runner) RunCtx(ctx context.Context, name string, cfg config.Config, label string) (*core.Stats, error) {
 	key := runKey{bench: name, digest: cfg.Digest(), budget: r.opt.Budget}
-	r.mu.Lock()
-	c, ok := r.calls[key]
-	if ok {
-		r.mu.Unlock()
-		c.wg.Wait()
-		return r.deliver(name, label, c.res)
-	}
-	c = &runCall{}
-	c.wg.Add(1)
-	r.calls[key] = c
-	r.mu.Unlock()
-
-	c.res = r.execute(ctx, name, cfg, label)
-	if c.res.canceled {
-		// A cancellation is a scheduling outcome, not a property of the
-		// machine: evict the negative entry so a later request (longer
-		// deadline) simulates afresh.
-		r.mu.Lock()
-		if r.calls[key] == c {
-			delete(r.calls, key)
-		}
-		r.mu.Unlock()
-	}
-	c.wg.Done()
-	return r.deliver(name, label, c.res)
+	res := join(r, r.calls, key, func() outcome[*core.Stats] {
+		return execute(ctx, r, r.coreJob(name, cfg, label))
+	})
+	return deliver(r, name, label, res)
 }
 
-// execute performs the out-of-memory-cache simulation: persistent result
-// store first (a hit skips even the trace build; in verify mode the hit
-// is re-simulated and compared), then trace build + run, retried once
-// with the pipeline tracer attached. Fault-injected configurations and
-// failed runs are never persisted.
-func (r *Runner) execute(ctx context.Context, name string, cfg config.Config, label string) runResult {
-	resultKey, keyed := r.traceKey(name)
-	persistable := keyed && !cfg.Faults.Enabled()
-	if persistable {
-		resultKey = artifact.ResultKey(resultKey, cfg.Digest(), r.opt.Budget)
-		if st, path, hit := r.opt.Cache.LoadStats(resultKey); hit {
-			if !r.opt.Cache.VerifyEnabled() {
-				return runResult{st: st}
+// coreJob describes a single-core run to the executor: persisted as a
+// DMDPRES1 record unless fault-injected, and retried once with the
+// pipeline tracer attached when it fails.
+func (r *Runner) coreJob(name string, cfg config.Config, label string) *job[*core.Stats] {
+	j := &job[*core.Stats]{
+		bench: name, label: label, retry: true,
+		canon: (*core.Stats).MarshalCanonical,
+		sim: func(ctx context.Context, tr *trace.Trace, traced bool) (*core.Stats, error) {
+			c, err := core.New(cfg, tr)
+			if err != nil {
+				return nil, err
 			}
-			return r.verifyHit(ctx, name, label, cfg, resultKey, path, st)
-		}
-	}
-	tr, err := r.Trace(name)
-	if err != nil {
-		// A canceled build is a scheduling outcome like a canceled run:
-		// flag it so RunCtx evicts the negative cache entry and a later
-		// request (longer deadline) rebuilds.
-		return runResult{err: err, canceled: IsCanceled(err)}
-	}
-	var st *core.Stats
-	var runErr error
-	var panicked, retried bool
-	for attempt := 1; attempt <= 2; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if runErr == nil {
-				runErr = err // cancelled before the first attempt started
+			if traced {
+				c.AttachTracer(64)
 			}
-			break
-		}
-		retried = attempt > 1
-		r.sims.Add(1)
-		// The retry runs with the tracer attached: a transient failure
-		// recovers, a deterministic one is declared failed with
-		// stage-timing diagnostics.
-		st, runErr, panicked = simulate(ctx, cfg, tr, retried)
-		if runErr == nil || core.Canceled(runErr) {
-			break // a cancellation cannot be helped by retrying
-		}
+			st, err := c.RunContext(ctx)
+			if err != nil {
+				return nil, err
+			}
+			// Keep a copy: the returned pointer is into the core, and the
+			// result table would pin every core it ever ran.
+			cp := *st
+			return &cp, nil
+		},
 	}
-	if runErr != nil {
-		return runResult{
-			err: runErr, panicked: panicked, retried: retried,
-			canceled:   core.Canceled(runErr) || ctx.Err() != nil,
-			diagnostic: diagnosticFor(runErr),
-		}
+	if tk, ok := r.traceKey(name); ok && !cfg.Faults.Enabled() {
+		j.key = artifact.ResultKey(tk, cfg.Digest(), r.opt.Budget)
+		j.load = func() (*core.Stats, string, bool) { return r.opt.Cache.LoadStats(j.key) }
+		j.save = func(st *core.Stats) { r.opt.Cache.StoreStats(j.key, st) }
 	}
-	if persistable {
-		r.opt.Cache.StoreStats(resultKey, st)
-	}
-	return runResult{st: st}
-}
-
-// verifyHit is the stale-artifact oracle (-cache verify): re-simulate a
-// result-store hit from scratch and compare canonical encodings. A
-// mismatch is a hard failure with a structured diagnostic — the cached
-// entry is stale or the simulator is nondeterministic. On success the
-// cached stats are returned (not the fresh ones), so verify-mode output
-// is byte-identical to a plain warm run.
-func (r *Runner) verifyHit(ctx context.Context, name, label string, cfg config.Config, key artifact.Key, path string, cached *core.Stats) runResult {
-	tr, err := r.Trace(name)
-	if err != nil {
-		return runResult{err: err}
-	}
-	r.sims.Add(1)
-	fresh, runErr, panicked := simulate(ctx, cfg, tr, false)
-	if runErr != nil {
-		return runResult{
-			err: runErr, panicked: panicked,
-			canceled:   core.Canceled(runErr),
-			diagnostic: diagnosticFor(runErr),
-		}
-	}
-	cb, fb := cached.MarshalCanonical(), fresh.MarshalCanonical()
-	if !bytes.Equal(cb, fb) {
-		verr := artifact.NewVerifyError(key, path, name, label, cb, fb)
-		return runResult{err: verr, diagnostic: verr.Error()}
-	}
-	return runResult{st: cached}
-}
-
-// deliver converts a cached result into this caller's view: successes
-// pass through, failures are recorded under the caller's label (each
-// labelled use of a broken run gets its own failure row, deduplicated).
-func (r *Runner) deliver(name, label string, res runResult) (*core.Stats, error) {
-	if res.err != nil {
-		r.recordFailure(Failure{
-			Bench: name, Label: label, Err: res.err,
-			Panicked: res.panicked, Retried: res.retried,
-			Diagnostic: res.diagnostic,
-		})
-		return nil, fmt.Errorf("experiments: %s (%s): %w", name, label, res.err)
-	}
-	return res.st, nil
-}
-
-// simulate builds a core and runs it to completion under ctx, converting
-// panics into errors so one corrupted benchmark cannot take down the
-// suite.
-func simulate(ctx context.Context, cfg config.Config, tr *trace.Trace, withTracer bool) (st *core.Stats, err error, panicked bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			st = nil
-			err = fmt.Errorf("panic: %v\n%s", rec, trimStack(debug.Stack()))
-			panicked = true
-		}
-	}()
-	c, err := core.New(cfg, tr)
-	if err != nil {
-		return nil, err, false
-	}
-	if withTracer {
-		c.AttachTracer(64)
-	}
-	st, err = c.RunContext(ctx)
-	return st, err, false
-}
-
-// trimStack keeps the top frames of a panic stack — enough to locate the
-// fault without drowning the failure table.
-func trimStack(stack []byte) string {
-	lines := strings.Split(strings.TrimSpace(string(stack)), "\n")
-	const keep = 13 // goroutine header + 6 frames (2 lines each)
-	if len(lines) > keep {
-		lines = append(lines[:keep], "...")
-	}
-	return strings.Join(lines, "\n")
+	return j
 }
 
 // RunModel simulates under the default configuration for a model.
@@ -471,56 +331,99 @@ func modelSpec(m config.Model) RunSpec {
 	return RunSpec{Cfg: config.Default(m), Label: m.String()}
 }
 
-// WarmUp executes every run the selected experiments declare, on a
-// worker pool sized by Options (Jobs, or GOMAXPROCS; 1 when Parallel is
-// off). The union of run sets is deduplicated by configuration digest,
-// traces are built first, and specs are scheduled longest-trace-first so
-// the slowest proxies never straggle at the tail. Rendering the selected
-// experiments afterwards hits only warm cache. Individual failures do
-// not abort the warm-up: they are negatively cached and recorded (see
-// Failures), and an aggregate count is returned as an error.
+// WarmUp executes every run the selected experiments declare —
+// single-core, machine and sampled runs — on a worker pool sized by
+// Options (Jobs, or GOMAXPROCS; 1 when Parallel is off). The union of
+// run sets is deduplicated by run key, traces are built first, and runs
+// are scheduled longest-first so the slowest never straggle at the
+// tail. Rendering the selected experiments afterwards hits only warm
+// cache. Individual failures do not abort the warm-up: they are
+// negatively cached and recorded (see Failures), and an aggregate count
+// is returned as an error.
 func (r *Runner) WarmUp(selected ...Experiment) error {
-	var specs []RunSpec
+	var d declared
 	for _, e := range selected {
 		if e.Runs != nil {
-			specs = append(specs, e.Runs(r)...)
+			d.runs = append(d.runs, e.Runs(r)...)
+		}
+		if e.Machines != nil {
+			d.machines = append(d.machines, e.Machines(r)...)
+		}
+		if e.Sampled != nil {
+			d.sampled = append(d.sampled, e.Sampled(r)...)
 		}
 	}
-	return r.warm(specs)
+	return r.warm(d)
 }
 
 // Prefetch warms the trace and default-model caches (the runs most
 // experiments share) on the worker pool. Results remain fully
 // deterministic. Returns an aggregate error when any run failed.
 func (r *Runner) Prefetch() error {
-	return r.warm(r.suite(
+	return r.warm(declared{runs: r.suite(
 		modelSpec(config.Baseline), modelSpec(config.NoSQ),
 		modelSpec(config.DMDP), modelSpec(config.Perfect),
-	))
+	)})
 }
 
-// warm deduplicates specs by run key (first-encounter label wins, which
-// keeps failure rows deterministic), builds the traces, then executes
-// the runs on the pool, longest trace first.
-func (r *Runner) warm(specs []RunSpec) error {
-	seen := make(map[runKey]bool, len(specs))
-	uniq := specs[:0]
-	var benches []string
-	seenBench := make(map[string]bool)
-	for _, s := range specs {
-		key := runKey{bench: s.Bench, digest: s.Cfg.Digest(), budget: r.opt.Budget}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		uniq = append(uniq, s)
-		if !seenBench[s.Bench] {
-			seenBench[s.Bench] = true
-			benches = append(benches, s.Bench)
+// declared is a set of runs to warm, one list per kind.
+type declared struct {
+	runs     []RunSpec
+	machines []MachineSpec
+	sampled  []SampledSpec
+}
+
+// task is one deduplicated run on the warm-up pool. cost scales the
+// trace length into the schedule's length estimate (a machine steps
+// one copy of the trace per core).
+type task struct {
+	bench string
+	cost  int
+	run   func(ctx context.Context) error
+}
+
+// warm deduplicates the declared runs by run key (first-encounter label
+// wins, which keeps failure rows deterministic), builds the traces, then
+// executes the runs on the pool, longest first. A sampled run on the
+// pool simulates its intervals serially, so the pool is never
+// oversubscribed.
+func (r *Runner) warm(d declared) error {
+	var tasks []task
+	seen := make(map[any]bool)
+	add := func(key any, t task) {
+		if !seen[key] {
+			seen[key] = true
+			tasks = append(tasks, t)
 		}
 	}
-	if len(uniq) == 0 {
+	for _, s := range d.runs {
+		add(runKey{bench: s.Bench, digest: s.Cfg.Digest(), budget: r.opt.Budget}, task{s.Bench, 1, func(ctx context.Context) error {
+			_, err := r.RunCtx(ctx, s.Bench, s.Cfg, s.Label)
+			return err
+		}})
+	}
+	for _, s := range d.machines {
+		add(r.machineKey(s), task{s.Bench, s.Cfg.Cores, func(ctx context.Context) error {
+			_, err := r.runMachine(ctx, s)
+			return err
+		}})
+	}
+	for _, s := range d.sampled {
+		add(r.sampledKey(s), task{s.Bench, 1, func(ctx context.Context) error {
+			_, err := r.runSampled(ctx, s, 1)
+			return err
+		}})
+	}
+	if len(tasks) == 0 {
 		return nil
+	}
+	var benches []string
+	seenBench := make(map[string]bool)
+	for _, t := range tasks {
+		if !seenBench[t.bench] {
+			seenBench[t.bench] = true
+			benches = append(benches, t.bench)
+		}
 	}
 	ctx := r.ctx()
 
@@ -530,24 +433,24 @@ func (r *Runner) warm(specs []RunSpec) error {
 		r.Trace(benches[i])
 	})
 
-	// Longest trace first; stable sort keeps first-encounter order for
-	// equal lengths, so the schedule is deterministic.
-	sort.SliceStable(uniq, func(i, j int) bool {
-		return r.traceLen(uniq[i].Bench) > r.traceLen(uniq[j].Bench)
+	// Longest first; stable sort keeps first-encounter order for equal
+	// lengths, so the schedule is deterministic.
+	sort.SliceStable(tasks, func(i, j int) bool {
+		return r.traceLen(tasks[i].bench)*tasks[i].cost > r.traceLen(tasks[j].bench)*tasks[j].cost
 	})
 
 	var failed atomic.Int64
-	started := r.forEachPooled(ctx, len(uniq), func(i int) {
-		if _, err := r.RunCtx(ctx, uniq[i].Bench, uniq[i].Cfg, uniq[i].Label); err != nil {
+	started := r.forEachPooled(ctx, len(tasks), func(i int) {
+		if err := tasks[i].run(ctx); err != nil {
 			failed.Add(1)
 		}
 	})
-	if skipped := len(uniq) - started; skipped > 0 {
+	if skipped := len(tasks) - started; skipped > 0 {
 		return fmt.Errorf("experiments: warm-up cancelled (%v): %d of %d runs never started, %d failed (see the failure table)",
-			ctx.Err(), skipped, len(uniq), failed.Load())
+			ctx.Err(), skipped, len(tasks), failed.Load())
 	}
 	if n := failed.Load(); n > 0 {
-		return fmt.Errorf("experiments: %d of %d warm-up runs failed (see the failure table)", n, len(uniq))
+		return fmt.Errorf("experiments: %d of %d warm-up runs failed (see the failure table)", n, len(tasks))
 	}
 	return nil
 }
@@ -567,43 +470,46 @@ func (r *Runner) Energy(name string, m config.Model) (power.Result, error) {
 	return power.Compute(st, power.DefaultParams()), nil
 }
 
-// Experiment identifies one reproducible artifact. Runs declares the
-// experiment's full simulation set up front so the runner can execute
-// the union across experiments on the worker pool before any rendering
-// starts; Run then renders from warm cache.
+// Experiment identifies one reproducible artifact. Runs, Machines and
+// Sampled declare the experiment's full simulation set up front — its
+// single-core runs, multicore machine runs and sampled runs — so the
+// runner can execute the union across experiments on the worker pool
+// before any rendering starts; Run then renders from warm cache.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(r *Runner) (string, error)
-	Runs  func(r *Runner) []RunSpec
+	ID       string
+	Title    string
+	Run      func(r *Runner) (string, error)
+	Runs     func(r *Runner) []RunSpec
+	Machines func(r *Runner) []MachineSpec
+	Sampled  func(r *Runner) []SampledSpec
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig2", "Figure 2: NoSQ load instruction distribution", Fig2, Fig2Runs},
-		{"fig3", "Figure 3: delayed vs bypassing load execution time (NoSQ)", Fig3, Fig3Runs},
-		{"fig5", "Figure 5: low-confidence load prediction outcomes (DMDP)", Fig5, Fig5Runs},
-		{"fig12", "Figure 12: speedup over the baseline", Fig12, Fig12Runs},
-		{"fig14", "Figure 14: store buffer size sweep (DMDP)", Fig14, Fig14Runs},
-		{"fig15", "Figure 15: EDP of DMDP normalized to NoSQ", Fig15, Fig15Runs},
-		{"tab4", "Table IV: average execution time of all loads", TableIV, TableIVRuns},
-		{"tab5", "Table V: average execution time of low-confidence loads", TableV, TableVRuns},
-		{"tab6", "Table VI: memory dependence mispredictions (MPKI)", TableVI, TableVIRuns},
-		{"tab7", "Table VII: re-execution stall cycles per 1k instructions", TableVII, TableVIIRuns},
-		{"alt-issue4", "§VI-g: 4-issue width", AltIssue4, AltIssue4Runs},
-		{"alt-rob512", "§VI-g: 512-entry ROB", AltROB512, AltROB512Runs},
-		{"alt-rmo", "§VI-g: RMO consistency", AltRMO, AltRMORuns},
-		{"alt-prf160", "§VI-f: halved physical register file", AltPRF160, AltPRF160Runs},
-		{"abl-silent", "Ablation: silent-store-aware predictor update (§VI-a)", AblSilentPolicy, AblSilentPolicyRuns},
-		{"abl-biased", "Ablation: biased vs balanced confidence (§IV-E)", AblBiasedConfidence, AblBiasedConfidenceRuns},
-		{"abl-tage", "Ablation: TAGE-like store distance predictor (§VII)", AblTAGE, AblTAGERuns},
-		{"abl-coalesce", "Ablation: store coalescing (§V)", AblCoalescing, AblCoalescingRuns},
-		{"abl-inval", "Ablation: remote invalidation traffic (§IV-F)", AblInvalidations, AblInvalidationsRuns},
-		{"alt-fnf", "Alt: Fire-and-Forget comparison (§VII)", AltFnF, AltFnFRuns},
-		{"abl-prefetch", "Ablation: next-line L1 prefetcher", AblPrefetch, AblPrefetchRuns},
-		{"samp-err", "Methodology: sampled-vs-full IPC error (§V)", SampErr, SampErrRuns},
-		{"mc-ipc", "Multicore: aggregate IPC scaling over a shared L2", McIPC, McIPCRuns},
+		{ID: "fig2", Title: "Figure 2: NoSQ load instruction distribution", Run: Fig2, Runs: Fig2Runs},
+		{ID: "fig3", Title: "Figure 3: delayed vs bypassing load execution time (NoSQ)", Run: Fig3, Runs: Fig3Runs},
+		{ID: "fig5", Title: "Figure 5: low-confidence load prediction outcomes (DMDP)", Run: Fig5, Runs: Fig5Runs},
+		{ID: "fig12", Title: "Figure 12: speedup over the baseline", Run: Fig12, Runs: Fig12Runs},
+		{ID: "fig14", Title: "Figure 14: store buffer size sweep (DMDP)", Run: Fig14, Runs: Fig14Runs},
+		{ID: "fig15", Title: "Figure 15: EDP of DMDP normalized to NoSQ", Run: Fig15, Runs: Fig15Runs},
+		{ID: "tab4", Title: "Table IV: average execution time of all loads", Run: TableIV, Runs: TableIVRuns},
+		{ID: "tab5", Title: "Table V: average execution time of low-confidence loads", Run: TableV, Runs: TableVRuns},
+		{ID: "tab6", Title: "Table VI: memory dependence mispredictions (MPKI)", Run: TableVI, Runs: TableVIRuns},
+		{ID: "tab7", Title: "Table VII: re-execution stall cycles per 1k instructions", Run: TableVII, Runs: TableVIIRuns},
+		{ID: "alt-issue4", Title: "§VI-g: 4-issue width", Run: AltIssue4, Runs: AltIssue4Runs},
+		{ID: "alt-rob512", Title: "§VI-g: 512-entry ROB", Run: AltROB512, Runs: AltROB512Runs},
+		{ID: "alt-rmo", Title: "§VI-g: RMO consistency", Run: AltRMO, Runs: AltRMORuns},
+		{ID: "alt-prf160", Title: "§VI-f: halved physical register file", Run: AltPRF160, Runs: AltPRF160Runs},
+		{ID: "abl-silent", Title: "Ablation: silent-store-aware predictor update (§VI-a)", Run: AblSilentPolicy, Runs: AblSilentPolicyRuns},
+		{ID: "abl-biased", Title: "Ablation: biased vs balanced confidence (§IV-E)", Run: AblBiasedConfidence, Runs: AblBiasedConfidenceRuns},
+		{ID: "abl-tage", Title: "Ablation: TAGE-like store distance predictor (§VII)", Run: AblTAGE, Runs: AblTAGERuns},
+		{ID: "abl-coalesce", Title: "Ablation: store coalescing (§V)", Run: AblCoalescing, Runs: AblCoalescingRuns},
+		{ID: "abl-inval", Title: "Ablation: remote invalidation traffic (§IV-F)", Run: AblInvalidations, Runs: AblInvalidationsRuns},
+		{ID: "alt-fnf", Title: "Alt: Fire-and-Forget comparison (§VII)", Run: AltFnF, Runs: AltFnFRuns},
+		{ID: "abl-prefetch", Title: "Ablation: next-line L1 prefetcher", Run: AblPrefetch, Runs: AblPrefetchRuns},
+		{ID: "samp-err", Title: "Methodology: sampled-vs-full IPC error (§V)", Run: SampErr, Runs: SampErrRuns, Sampled: SampErrSampled},
+		{ID: "mc-ipc", Title: "Multicore: aggregate IPC scaling over a shared L2", Run: McIPC, Machines: McIPCMachines},
 	}
 }
 

@@ -118,3 +118,40 @@ func (c *Combined) MarshalCanonical() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.TotalCycles))
 	return buf
 }
+
+// canonicalStatsSize is the length of one canonical core.Stats encoding.
+var canonicalStatsSize = len(new(core.Stats).MarshalCanonical())
+
+// UnmarshalCombined decodes a MarshalCanonical encoding (the DMDPSMP1
+// artifact payload). The length must match the encoded interval count
+// exactly.
+func UnmarshalCombined(data []byte) (*Combined, error) {
+	const head, tail = 8, 4 * 8
+	per := 3*8 + canonicalStatsSize
+	if len(data) < head+tail {
+		return nil, fmt.Errorf("sampling: canonical combined length %d too short", len(data))
+	}
+	n := binary.LittleEndian.Uint64(data)
+	if n > uint64(len(data)/per) || len(data) != head+int(n)*per+tail {
+		return nil, fmt.Errorf("sampling: canonical combined length %d does not hold %d intervals", len(data), n)
+	}
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(data[off:]) }
+	c := &Combined{Results: make([]IntervalResult, n)}
+	off := head
+	for i := range c.Results {
+		st, err := core.UnmarshalCanonicalStats(data[off+24 : off+per])
+		if err != nil {
+			return nil, err
+		}
+		c.Results[i] = IntervalResult{
+			Interval: Interval{Start: int(u64(off)), End: int(u64(off + 8)), Weight: math.Float64frombits(u64(off + 16))},
+			Stats:    st,
+		}
+		off += per
+	}
+	c.WeightedIPC = math.Float64frombits(u64(off))
+	c.WeightedMPKI = math.Float64frombits(u64(off + 8))
+	c.TotalInstructions = int64(u64(off + 16))
+	c.TotalCycles = int64(u64(off + 24))
+	return c, nil
+}
