@@ -258,14 +258,10 @@ func workloadName(bench, file string) string {
 	return bench
 }
 
-// Sampled-path budget thresholds: beyond materializeLimit the sampled
-// run streams (the trace is never held in memory); beyond
-// fullCompareLimit the -samplefull auto comparison is skipped (a full
-// run would defeat the point of sampling a 100M budget).
-const (
-	materializeLimit = 16_000_000
-	fullCompareLimit = 5_000_000
-)
+// fullCompareLimit is the largest budget the -samplefull auto
+// comparison runs at: a full run would defeat the point of sampling a
+// 100M budget.
+const fullCompareLimit = 5_000_000
 
 // sampleRun bundles everything the sampled path needs from main.
 type sampleRun struct {
@@ -286,10 +282,11 @@ type sampleRun struct {
 // runSampled exercises the checkpointed sampling methodology (paper §V):
 // plan intervals (BBV phase clustering for auto specs, centered
 // systematic sampling otherwise), simulate them on a deterministic
-// worker pool, and combine by weight. Small budgets materialize the
-// trace; large ones stream it, restoring intervals from architectural
-// checkpoints. Timing goes to stderr so stdout stays byte-identical
-// across hosts and -j widths.
+// worker pool, and combine by weight. The program streams: its trace
+// is never held in memory, and intervals restore from architectural
+// checkpoints. Only -samplefull loads the full trace, for the reference
+// run. Timing, cache and warming lines go to stderr so stdout stays
+// byte-identical across hosts, -j widths and cache states.
 func runSampled(r sampleRun) {
 	spec, err := cliutil.ParseSampleSpec(r.spec)
 	if err != nil {
@@ -307,16 +304,8 @@ func runSampled(r sampleRun) {
 		Checkpoint: r.checkpoint, Store: r.store, TraceKey: r.traceKey,
 		Warm: r.warm,
 	}
-	var fullTrace *dmdp.Trace
-	if compareFull || r.budget <= materializeLimit {
-		fullTrace = r.loadTrace()
-		req.Trace = fullTrace
-	} else {
-		prog, err := r.loadProg()
-		if err != nil {
-			fatal(err)
-		}
-		req.Prog = prog
+	if req.Prog, err = r.loadProg(); err != nil {
+		fatal(err)
 	}
 
 	start := time.Now()
@@ -326,17 +315,9 @@ func runSampled(r sampleRun) {
 	}
 	sampledWall := time.Since(start)
 
-	path := "materialized"
-	if out.Streamed {
-		path = "streamed"
-	}
-	if out.PlanCached {
-		path += " (cached plan)"
-	}
 	c := out.Combined
 	fmt.Printf("model              %s\n", r.model)
 	fmt.Printf("sampling spec      %s\n", spec.String())
-	fmt.Printf("sampling path      %s\n", path)
 	fmt.Printf("plan               %d intervals over %d entries\n", len(out.Plan.Intervals), out.Total)
 	fmt.Printf("sampled instrs     %d of %d (%.1f%%)\n",
 		c.TotalInstructions, out.Total,
@@ -344,7 +325,7 @@ func runSampled(r sampleRun) {
 	fmt.Printf("sampled IPC        %.4f\n", c.WeightedIPC)
 	fmt.Printf("sampled MPKI       %.3f\n", c.WeightedMPKI)
 	if compareFull {
-		full, err := dmdp.Run(r.cfg, fullTrace)
+		full, err := dmdp.Run(r.cfg, r.loadTrace())
 		if err != nil {
 			fatal(err)
 		}
@@ -353,8 +334,14 @@ func runSampled(r sampleRun) {
 		fmt.Printf("full MPKI          %.3f\n", full.MPKI())
 		fmt.Printf("IPC error          %+.2f%%\n", 100*(c.WeightedIPC-fullIPC)/fullIPC)
 	}
-	// Warming accounting goes to stderr with the timing: stdout must stay
-	// byte-identical across -j widths and cold/warm artifact caches.
+	// The plan's provenance and the warming accounting go to stderr with
+	// the timing: stdout must stay byte-identical across -j widths and
+	// cold/warm artifact caches.
+	path := "streamed"
+	if out.PlanCached {
+		path += " (cached plan)"
+	}
+	fmt.Fprintf(os.Stderr, "sampling path      %s\n", path)
 	if out.Warmed {
 		fmt.Fprintf(os.Stderr, "functional warming warmed %d of %d intervals (%d cold starts), %.1f KiB of snapshots installed\n",
 			out.WarmedIntervals, out.WarmedIntervals+out.ColdStartIntervals,

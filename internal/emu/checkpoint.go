@@ -23,8 +23,9 @@ type Checkpoint struct {
 	PC   uint32
 	Regs [isa.NumArchRegs]uint32
 	// HasArch distinguishes full architectural checkpoints (resumable by
-	// the emulator) from image-only checkpoints used to rebuild interval
-	// sub-traces from an already-materialized trace.
+	// the emulator) from image-only ones, which earlier versions wrote
+	// for sampling over a built trace. Stores may still hold those under
+	// the same keys; Resume rejects them.
 	HasArch bool
 	// Pages maps page base address -> page content at capture time, for
 	// every page written since the initial image.

@@ -44,8 +44,8 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 
 // TestSampErrWarmRows: with SampleWarm the samp-err table carries a
 // "+warm" row per benchmark, a separate warmed mean-|error| footer, and
-// no cold-start daggers (the materialized path always reconstructs warm
-// state).
+// no cold-start daggers (a profiling pass keeps every boundary's warm
+// state in memory, so no interval cold-starts).
 func TestSampErrWarmRows(t *testing.T) {
 	r := NewRunner(Options{
 		Budget:     20_000,
@@ -63,7 +63,7 @@ func TestSampErrWarmRows(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "†") {
-		t.Fatalf("materialized samp-err rows claim cold starts:\n%s", out)
+		t.Fatalf("samp-err rows claim cold starts:\n%s", out)
 	}
 }
 

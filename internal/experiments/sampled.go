@@ -36,8 +36,8 @@ func (r *Runner) sampledKey(s SampledSpec) sampledKey {
 	return sampledKey{bench: s.Bench, digest: s.Cfg.Digest(), budget: r.opt.Budget, spec: s.Spec.String(), warm: s.Warm}
 }
 
-// RunSampled runs (or reads back) the sampled run s describes, over the
-// benchmark's materialized trace. Sampled runs go through the same path
+// RunSampled runs (or reads back) the sampled run s describes, streamed
+// from the benchmark's program. Sampled runs go through the same path
 // as single-core runs: concurrent callers share one run, results
 // persist in the artifact store as DMDPSMP1 records, verify mode
 // re-simulates hits, and a failure is cached and recorded as a Failure
@@ -69,7 +69,7 @@ func (r *Runner) sampledJob(s SampledSpec, jobs int) *job[*sampling.Outcome] {
 			out, err := sampling.Execute(ctx, s.Cfg, sampling.Request{
 				Spec: s.Spec, Budget: r.opt.Budget, Jobs: jobs,
 				Checkpoint: r.opt.SampleCheckpoint, Store: r.opt.Cache,
-				TraceKey: tk, Trace: tr, Warm: s.Warm,
+				TraceKey: tk, Prog: tr.Prog, Warm: s.Warm,
 			})
 			if err != nil {
 				return nil, err
@@ -188,10 +188,10 @@ func SampErrSampled(r *Runner) []SampledSpec {
 // SampErr validates the sampling methodology (paper §V): for every
 // benchmark and model, the full-budget IPC is compared against the
 // weighted sampled estimate, and the signed error is tabulated. The
-// sampled runs reuse the runner's cached traces (and, when
-// Options.SampleCheckpoint is set, restore intervals from persisted
-// checkpoints), so the marginal cost over the reference suite is the
-// sampled intervals themselves.
+// sampled runs stream from each benchmark's program (and, when
+// Options.SampleCheckpoint is set, reuse persisted plans and restore
+// intervals from persisted checkpoints), so the marginal cost over the
+// reference suite is one profiling pass plus the sampled intervals.
 func SampErr(r *Runner) (string, error) {
 	spec := r.sampSpec()
 	t := stats.NewTable(

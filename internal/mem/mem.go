@@ -187,10 +187,12 @@ func (m *Image) Write(addr, size, v uint32) {
 	}
 }
 
-// SetBytes copies data into memory starting at addr.
+// SetBytes copies data into memory starting at addr, a page at a time.
 func (m *Image) SetBytes(addr uint32, data []byte) {
-	for i, b := range data {
-		m.SetByte(addr+uint32(i), b)
+	for len(data) > 0 {
+		n := copy(m.writablePage(addr)[addr&pageMask:], data)
+		data = data[n:]
+		addr += uint32(n)
 	}
 }
 

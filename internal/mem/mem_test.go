@@ -262,7 +262,7 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 			// collide on shared pages and straddle page boundaries.
 			addr := uint32(rng.Intn(6))<<(pageShift+4) | uint32(rng.Intn(3))<<pageShift | uint32(pageSize-8+rng.Intn(16))
 			switch r := rng.Intn(10); {
-			case r < 6:
+			case r < 5:
 				size := uint32(1) << rng.Intn(3)
 				v := rng.Uint32()
 				imgs[k].Read(addr, size) // the write must not leave this read stale
@@ -270,6 +270,15 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 				refs[k].write(addr, size, v)
 				if got, want := imgs[k].Read(addr, size), v&(1<<(8*size)-1); got != want {
 					t.Fatalf("trial %d op %d: image %d reads %#x after writing %#x", trial, op, k, got, want)
+				}
+			case r < 7:
+				// A run that may span several pages, some of them
+				// shared with a clone.
+				data := make([]byte, 1+rng.Intn(2*pageSize+16))
+				rng.Read(data)
+				imgs[k].SetBytes(addr, data)
+				for i, b := range data {
+					refs[k].write(addr+uint32(i), 1, uint32(b))
 				}
 			case r < 8 && len(imgs) < 12:
 				imgs = append(imgs, imgs[k].Clone())

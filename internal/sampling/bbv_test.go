@@ -27,6 +27,20 @@ func phaseEntries(n int, basePC uint32, blockCount int) []trace.Entry {
 	return out[:n]
 }
 
+// chunkBBVs computes the basic-block vector of every full chunkLen-sized
+// chunk of entries: the profiling pass's BBVs, over a built trace.
+func chunkBBVs(entries []trace.Entry, chunkLen int) [][BBVDim]float64 {
+	var out [][BBVDim]float64
+	var acc BBVAccum
+	for i := 0; i+chunkLen <= len(entries); i += chunkLen {
+		for j := i; j < i+chunkLen; j++ {
+			acc.Add(&entries[j])
+		}
+		out = append(out, acc.Finish())
+	}
+	return out
+}
+
 func TestBBVAccumNormalizedAndDeterministic(t *testing.T) {
 	ents := phaseEntries(400, 0x100, 5)
 	var a, b BBVAccum
@@ -66,7 +80,7 @@ func TestKmeansSeparatesPhases(t *testing.T) {
 		}
 		ents = append(ents, src...)
 	}
-	bbvs := ChunkBBVs(ents, 300)
+	bbvs := chunkBBVs(ents, 300)
 	if len(bbvs) != 6 {
 		t.Fatalf("chunks %d", len(bbvs))
 	}
@@ -83,7 +97,7 @@ func TestKmeansSeparatesPhases(t *testing.T) {
 
 func TestKmeansDeterministic(t *testing.T) {
 	ents := append(phaseEntries(1000, 0x100, 3), phaseEntries(1000, 0x9000, 9)...)
-	bbvs := ChunkBBVs(ents, 100)
+	bbvs := chunkBBVs(ents, 100)
 	a := kmeans(bbvs, 4)
 	b := kmeans(bbvs, 4)
 	for i := range a {
@@ -101,7 +115,7 @@ func TestAutoPlanWeightsAndAlignment(t *testing.T) {
 	for _, src := range [][]trace.Entry{a, a, b, a, b, a} {
 		ents = append(ents, src...)
 	}
-	plan, err := AutoPlan(ChunkBBVs(ents, 200), 200, 2)
+	plan, err := AutoPlan(chunkBBVs(ents, 200), 200, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,9 @@ func TestCombinedCanonicalPinned(t *testing.T) {
 // TestCombinedCanonicalRoundTrip decodes a real sampled result back to
 // an identical Combined, and rejects truncated or padded encodings.
 func TestCombinedCanonicalRoundTrip(t *testing.T) {
-	mat, _ := execRequest(t, "mcf", 20_000)
-	mat.Spec = Spec{Count: 4, Len: 1_000, Warmup: 500}
-	out, err := Execute(context.Background(), config.Default(config.DMDP), mat)
+	req := execRequest(t, "mcf", 20_000)
+	req.Spec = Spec{Count: 4, Len: 1_000, Warmup: 500}
+	out, err := Execute(context.Background(), config.Default(config.DMDP), req)
 	if err != nil {
 		t.Fatal(err)
 	}

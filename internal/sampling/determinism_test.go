@@ -7,28 +7,14 @@ import (
 
 	"dmdp/internal/artifact"
 	"dmdp/internal/config"
-	"dmdp/internal/trace"
 	"dmdp/internal/workload"
 )
 
-// sliceSource is the roll-forward reference: every interval is extracted
-// with the legacy Slice (O(Start) image replay per interval), no
-// checkpoints anywhere.
-type sliceSource struct {
-	tr   *trace.Trace
-	plan Plan
-}
-
-func (s sliceSource) IntervalTrace(i int) (*trace.Trace, int, error) {
-	begin, warm := beginOf(s.plan, i)
-	sub, err := Slice(s.tr, Interval{Start: begin, End: s.plan.Intervals[i].End})
-	return sub, warm, err
-}
-
 // TestCheckpointRestoreBitIdenticalAllProxies is the full determinism
 // sweep: for every proxy benchmark and every model, intervals restored
-// from persisted checkpoints must produce combined statistics
-// byte-identical to the legacy roll-forward Slice path, serially and at
+// from a stream's persisted checkpoints (reopened through OpenStream, as
+// a re-run with a cached plan does) must produce combined statistics
+// byte-identical to the roll-forward Slice reference, serially and at
 // -j8. This is the contract that lets checkpointed sampling replace
 // roll-forward wholesale: faster, never different.
 func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
@@ -44,12 +30,17 @@ func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 	}
 	models := []config.Model{config.Baseline, config.NoSQ, config.DMDP, config.Perfect, config.FnF}
 	ctx := context.Background()
+	chunkLen := autoChunkLen(budget)
 	for _, name := range workload.Names() {
 		s, ok := workload.Get(name)
 		if !ok {
 			t.Fatalf("unknown proxy %s", name)
 		}
 		tr, err := s.BuildTrace(budget)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prog, err := s.Program()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -60,24 +51,27 @@ func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 		plan.Warmup = warmup
 		key := artifact.TraceKey(s.SourceHash(), budget)
 
-		// Cold source publishes checkpoints; warm source restores them.
-		if _, err := NewTraceSource(tr, plan, store, key, true, nil); err != nil {
-			t.Fatalf("%s cold source: %v", name, err)
-		}
-		warm, err := NewTraceSource(tr, plan, store, key, true, nil)
+		// The building stream publishes every boundary's checkpoint; the
+		// reopened stream holds none in memory and restores them all.
+		built, err := BuildStream(ctx, prog, budget, chunkLen, store, key, true, nil)
 		if err != nil {
-			t.Fatalf("%s warm source: %v", name, err)
+			t.Fatalf("%s build stream: %v", name, err)
 		}
+		if built.Total != int64(len(tr.Entries)) {
+			t.Fatalf("%s: stream executed %d instructions, trace holds %d", name, built.Total, len(tr.Entries))
+		}
+		restored := OpenStream(prog, chunkLen, built.Total, built.HitHalt, store, key, nil).Source(plan)
 		ref := sliceSource{tr: tr, plan: plan}
 
 		// Interval extraction must agree entry for entry before any
 		// simulation: a checkpoint restore is just a faster roll-forward.
+		hits := store.Counters().CheckpointHits
 		for i := range plan.Intervals {
 			a, warmA, err := ref.IntervalTrace(i)
 			if err != nil {
 				t.Fatalf("%s slice %d: %v", name, i, err)
 			}
-			b, warmB, err := warm.IntervalTrace(i)
+			b, warmB, err := restored.IntervalTrace(i)
 			if err != nil {
 				t.Fatalf("%s restore %d: %v", name, i, err)
 			}
@@ -92,6 +86,9 @@ func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 				}
 			}
 		}
+		if got := store.Counters().CheckpointHits - hits; got != int64(len(plan.Intervals)) {
+			t.Fatalf("%s: %d of %d intervals restored from the store", name, got, len(plan.Intervals))
+		}
 
 		for _, m := range models {
 			cfg := config.Default(m)
@@ -101,7 +98,7 @@ func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 			}
 			enc := want.MarshalCanonical()
 			for _, jobs := range []int{1, 8} {
-				got, err := RunPlan(ctx, cfg, plan, warm, jobs)
+				got, err := RunPlan(ctx, cfg, plan, restored, jobs)
 				if err != nil {
 					t.Fatalf("%s/%s -j%d: %v", name, m, jobs, err)
 				}

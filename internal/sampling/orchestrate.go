@@ -7,21 +7,20 @@ import (
 	"dmdp/internal/artifact"
 	"dmdp/internal/config"
 	"dmdp/internal/isa"
-	"dmdp/internal/trace"
 	"dmdp/internal/warm"
 )
 
-// Request describes one sampled simulation for Execute. Exactly one of
-// Trace (an already-materialized trace) or Prog (streamed emulation, for
-// budgets too large to materialize) must be set.
+// Request describes one sampled simulation for Execute: Prog runs for
+// at most Budget instructions and is never materialized whole.
 type Request struct {
+	Prog   *isa.Program
 	Spec   Spec
 	Budget int64
 	// Jobs is the interval worker-pool width (<=1 serial). Results are
 	// byte-identical at any width.
 	Jobs int
-	// Checkpoint enables persisting/consuming checkpoints (and, on the
-	// streaming path, plans) in Store under TraceKey.
+	// Checkpoint enables persisting/consuming checkpoints and plans in
+	// Store under TraceKey.
 	Checkpoint bool
 	Store      *artifact.Store
 	TraceKey   artifact.Key
@@ -31,19 +30,15 @@ type Request struct {
 	// injection, like fast-forward: a corrupted run must execute every
 	// instruction of every model the same way.
 	Warm bool
-
-	Trace *trace.Trace
-	Prog  *isa.Program
 }
 
 // Outcome is a sampled simulation result plus the plan that produced it.
 type Outcome struct {
 	Combined *Combined
 	Plan     Plan
-	// Total is the executed/observed instruction count the plan was laid
-	// out over; Streamed reports the streaming (never-materialized) path.
-	Total    int64
-	Streamed bool
+	// Total is the executed instruction count the plan was laid out
+	// over (below Budget when the program halted early).
+	Total int64
 	// PlanCached reports that the plan (and stream geometry) came from
 	// the artifact cache, skipping the profiling pass entirely.
 	PlanCached bool
@@ -83,85 +78,24 @@ func autoChunkLen(budget int64) int {
 	return int(c)
 }
 
-// Execute plans and runs one sampled simulation end to end:
+// Execute plans and runs one sampled simulation end to end. One
+// chunked emulator pass over the program computes per-chunk BBVs and
+// captures architectural checkpoints without materializing the trace;
+// the plan is laid out over the executed instructions (BBV clustering
+// for auto specs, centered systematic sampling otherwise), and each
+// interval is then re-materialized independently from its nearest
+// checkpoint. With Checkpoint set, the plan and checkpoints persist, so
+// a re-run skips the profiling pass.
 //
-//   - materialized path (req.Trace): the plan is computed over the trace
-//     (BBV clustering for auto specs, centered systematic sampling
-//     otherwise) and intervals are extracted in one rolling pass — or
-//     restored from persisted image checkpoints when Checkpoint is set.
-//   - streaming path (req.Prog): one chunked emulator pass computes BBVs
-//     and captures architectural checkpoints without materializing the
-//     trace; intervals are then re-materialized independently (and in
-//     parallel) from their nearest checkpoint. With Checkpoint set, the
-//     plan and checkpoints persist, so a re-run skips the profiling pass.
-//
-// Either way the intervals run on a deterministic worker pool and combine
-// into a Combined that is byte-identical at any Jobs width.
+// The intervals run on a deterministic worker pool and combine into a
+// Combined that is byte-identical at any Jobs width.
 func Execute(ctx context.Context, cfg config.Config, req Request) (*Outcome, error) {
 	if err := req.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if (req.Trace == nil) == (req.Prog == nil) {
-		return nil, fmt.Errorf("sampling: exactly one of Trace or Prog must be set")
+	if req.Prog == nil {
+		return nil, fmt.Errorf("sampling: request has no program")
 	}
-	if req.Trace != nil {
-		return executeMaterialized(ctx, cfg, req)
-	}
-	return executeStreamed(ctx, cfg, req)
-}
-
-// warmConfig resolves the functional-warming configuration for a
-// request: nil when warming is off or fault injection forces it off.
-func warmConfig(cfg config.Config, req Request) *warm.Config {
-	if !req.Warm || cfg.Faults.Enabled() {
-		return nil
-	}
-	wc := warm.ConfigFrom(cfg)
-	return &wc
-}
-
-// fillWarmOutcome copies a source's warming accounting into the outcome.
-func fillWarmOutcome(out *Outcome, src Source) {
-	ws, ok := src.(warmStatsSource)
-	if !ok {
-		return
-	}
-	out.Warmed = true
-	out.WarmedIntervals, out.ColdStartIntervals, out.WarmSnapshotBytes = ws.warmStats()
-}
-
-func executeMaterialized(ctx context.Context, cfg config.Config, req Request) (*Outcome, error) {
-	tr := req.Trace
-	total := len(tr.Entries)
-	var plan Plan
-	var err error
-	if req.Spec.Auto {
-		chunkLen := autoChunkLen(int64(total))
-		plan, err = AutoPlan(ChunkBBVs(tr.Entries, chunkLen), chunkLen, req.Spec.Phases())
-	} else {
-		plan, err = Uniform(total, req.Spec.Len, req.Spec.Count)
-	}
-	if err != nil {
-		return nil, err
-	}
-	plan.Warmup = req.Spec.Warmup
-	wcfg := warmConfig(cfg, req)
-	src, err := NewTraceSource(tr, plan, req.Store, req.TraceKey, req.Checkpoint, wcfg)
-	if err != nil {
-		return nil, err
-	}
-	comb, err := RunPlan(ctx, cfg, plan, src, req.Jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{Combined: comb, Plan: plan, Total: int64(total)}
-	if wcfg != nil {
-		fillWarmOutcome(out, src)
-	}
-	return out, nil
-}
-
-func executeStreamed(ctx context.Context, cfg config.Config, req Request) (*Outcome, error) {
 	// Checkpoint spacing is budget-derived for systematic specs too, not
 	// Spec.Len: tying it to the interval length made `-sample 1x1000` at a
 	// 100M budget snapshot 100k checkpoints (each an O(dirty pages) delta —
@@ -170,7 +104,7 @@ func executeStreamed(ctx context.Context, cfg config.Config, req Request) (*Outc
 	// checkpoint at or before each begin; the spacing bounds the re-emulated
 	// prefix, so 1% of budget (clamped to [1k, 1M]) serves every spec.
 	chunkLen := autoChunkLen(req.Budget)
-	out := &Outcome{Streamed: true}
+	out := &Outcome{}
 	wcfg := warmConfig(cfg, req)
 	var plan Plan
 
@@ -206,39 +140,34 @@ func executeStreamed(ctx context.Context, cfg config.Config, req Request) (*Outc
 		if err != nil {
 			return nil, err
 		}
-		plan.Warmup = req.Spec.Warmup
-		if req.Checkpoint && req.Store != nil {
-			req.Store.StorePlan(planKey, planToRecord(plan, s))
-		}
 		stream, out.Total = s, s.Total
 		out.WarmEntries, out.WarmNanos = s.WarmEntries, s.WarmNanos
 	}
 	plan.Warmup = req.Spec.Warmup
-	src := stream.Source(plan)
+	if !out.PlanCached && req.Checkpoint && req.Store != nil {
+		req.Store.StorePlan(planKey, planToRecord(plan, stream))
+	}
+	src := stream.source(plan)
 	comb, err := RunPlan(ctx, cfg, plan, src, req.Jobs)
 	if err != nil {
 		return nil, err
 	}
 	out.Combined, out.Plan = comb, plan
 	if wcfg != nil {
-		fillWarmOutcome(out, src)
+		out.Warmed = true
+		out.WarmedIntervals, out.ColdStartIntervals, out.WarmSnapshotBytes = src.wc.stats()
 	}
 	return out, nil
 }
 
-// ChunkBBVs computes the basic-block vector of every full chunkLen-sized
-// chunk of entries (the materialized-trace counterpart of the streaming
-// profiling pass).
-func ChunkBBVs(entries []trace.Entry, chunkLen int) [][BBVDim]float64 {
-	var out [][BBVDim]float64
-	var acc BBVAccum
-	for i := 0; i+chunkLen <= len(entries); i += chunkLen {
-		for j := i; j < i+chunkLen; j++ {
-			acc.Add(&entries[j])
-		}
-		out = append(out, acc.Finish())
+// warmConfig resolves the functional-warming configuration for a
+// request: nil when warming is off or fault injection forces it off.
+func warmConfig(cfg config.Config, req Request) *warm.Config {
+	if !req.Warm || cfg.Faults.Enabled() {
+		return nil
 	}
-	return out
+	wc := warm.ConfigFrom(cfg)
+	return &wc
 }
 
 func planToRecord(p Plan, s *Stream) *artifact.PlanRecord {

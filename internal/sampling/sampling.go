@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 
-	"dmdp/internal/artifact"
 	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/trace"
@@ -130,14 +129,30 @@ type Combined struct {
 	TotalInstructions, TotalCycles int64
 }
 
-// Run simulates every interval of the plan under cfg and combines the
-// results by weight. It is the serial convenience wrapper around RunPlan;
-// use RunPlan directly for parallel execution, checkpoint-backed interval
-// extraction or cancellation.
-func Run(tr *trace.Trace, cfg config.Config, plan Plan) (*Combined, error) {
-	src, err := NewTraceSource(tr, plan, nil, artifact.Key{}, false, nil)
-	if err != nil {
-		return nil, err
+// sliceSource is the roll-forward Source: every interval is extracted
+// with Slice (an O(Start) image replay per interval), no checkpoints.
+// It serves Run on any trace and is the reference the checkpointed
+// streamed source is held equal to.
+type sliceSource struct {
+	tr   *trace.Trace
+	plan Plan
+}
+
+func (s sliceSource) IntervalTrace(i int) (*trace.Trace, int, error) {
+	iv := s.plan.Intervals[i]
+	if iv.Start < 0 || iv.End > len(s.tr.Entries) || iv.Start >= iv.End {
+		return nil, 0, fmt.Errorf("sampling: interval [%d,%d) out of range (trace %d)",
+			iv.Start, iv.End, len(s.tr.Entries))
 	}
-	return RunPlan(context.Background(), cfg, plan, src, 1)
+	begin, warm := beginOf(s.plan, i)
+	sub, err := Slice(s.tr, Interval{Start: begin, End: iv.End})
+	return sub, warm, err
+}
+
+// Run simulates every interval of the plan under cfg and combines the
+// results by weight. It is the serial convenience wrapper around RunPlan
+// for an already-built trace; Execute runs a program's sampled
+// simulation in parallel from checkpoints, with cancellation.
+func Run(tr *trace.Trace, cfg config.Config, plan Plan) (*Combined, error) {
+	return RunPlan(context.Background(), cfg, plan, sliceSource{tr: tr, plan: plan}, 1)
 }

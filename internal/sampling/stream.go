@@ -231,34 +231,6 @@ func (s *Stream) checkpointAt(at int64) *emu.Checkpoint {
 	return nil
 }
 
-// resumeAt returns an emulator positioned at instruction index begin by
-// restoring the nearest checkpoint at or below begin and fast-forwarding
-// the remainder. Missing or corrupt checkpoints degrade to the next
-// older boundary and ultimately to re-emulation from the program start —
-// slower, never wrong.
-func (s *Stream) resumeAt(begin int64) (*emu.Emulator, error) {
-	for ci := begin / int64(s.ChunkLen); ci >= 0; ci-- {
-		at := ci * int64(s.ChunkLen)
-		ck := s.checkpointAt(at)
-		if ck == nil {
-			continue
-		}
-		e, err := emu.Resume(s.Prog, s.Init, ck)
-		if err != nil {
-			continue
-		}
-		if err := e.StepN(begin - at); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	e := emu.New(s.Prog)
-	if err := e.StepN(begin); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // warmAt returns the full warm snapshot at boundary at, consulting the
 // in-memory cache first and then reconstructing from persisted DMDPCKP2
 // records (walking delta chains back to a keyframe). Nil when the state
@@ -322,17 +294,22 @@ func (s *Stream) warmPlanUsable(plan Plan) bool {
 	return s.warmAt(int64(at)) != nil
 }
 
-// resumeWarmAt returns an emulator positioned at instruction index begin
-// plus the warm snapshot at begin, by restoring the nearest usable
-// checkpoint and rolling forward while feeding the roll-forward entries
-// to the warm model. The warm decision happens at the single boundary
-// whose checkpoint the resume actually uses: if warm state is
-// unavailable there, the interval cold-starts (nil snapshot) — the
-// result is then a superset of the cold path's work, never different
-// work. Boundary 0 always warms (the empty state is definitionally
-// available).
-func (s *Stream) resumeWarmAt(begin int64) (*emu.Emulator, []byte, error) {
-	for ci := begin / int64(s.ChunkLen); ci >= 0; ci-- {
+// resumeAt returns an emulator positioned at instruction index begin by
+// restoring the nearest usable checkpoint at or below begin and
+// fast-forwarding the remainder. Missing or corrupt checkpoints degrade
+// to the next older boundary and ultimately to re-emulation from the
+// program start (boundary 0 needs no stored checkpoint) — slower, never
+// wrong.
+//
+// With warmed set, it also returns the warm snapshot at begin, rolling
+// forward while feeding the roll-forward entries to the warm model. The
+// warm decision happens at the single boundary whose checkpoint the
+// resume actually uses: if warm state is unavailable there, the
+// interval cold-starts (nil snapshot) — the result is then a superset
+// of the cold path's work, never different work. Boundary 0 always
+// warms (the empty state is definitionally available).
+func (s *Stream) resumeAt(begin int64, warmed bool) (*emu.Emulator, []byte, error) {
+	for ci := begin / int64(s.ChunkLen); ; ci-- {
 		at := ci * int64(s.ChunkLen)
 		var e *emu.Emulator
 		if ck := s.checkpointAt(at); ck != nil {
@@ -345,19 +322,14 @@ func (s *Stream) resumeWarmAt(begin int64) (*emu.Emulator, []byte, error) {
 			if at != 0 {
 				continue
 			}
-			e = emu.New(s.Prog) // boundary 0 needs no stored checkpoint
+			e = emu.New(s.Prog)
 		}
 		var ws *warm.State
-		if at == 0 {
-			ws = warm.New(*s.warmCfg)
-		} else if snap := s.warmAt(at); snap != nil {
-			var err error
-			if ws, err = warm.FromSnapshot(*s.warmCfg, snap); err != nil {
-				ws = nil
-			}
+		if warmed {
+			ws = s.warmStateAt(at)
 		}
 		if ws == nil {
-			// Cold start: plain roll-forward, exactly the unwarmed path.
+			// Cold start: plain fast-forward.
 			if err := e.StepN(begin - at); err != nil {
 				return nil, nil, err
 			}
@@ -379,13 +351,23 @@ func (s *Stream) resumeWarmAt(begin int64) (*emu.Emulator, []byte, error) {
 		}
 		return e, ws.Snapshot(), nil
 	}
-	// No usable checkpoint anywhere: unreachable, since boundary 0
-	// synthesizes a fresh emulator; kept for symmetry with resumeAt.
-	e := emu.New(s.Prog)
-	if err := e.StepN(begin); err != nil {
-		return nil, nil, err
+}
+
+// warmStateAt returns the warm model at boundary at, or nil when its
+// state is unavailable or corrupt.
+func (s *Stream) warmStateAt(at int64) *warm.State {
+	if at == 0 {
+		return warm.New(*s.warmCfg)
 	}
-	return e, nil, nil
+	snap := s.warmAt(at)
+	if snap == nil {
+		return nil
+	}
+	ws, err := warm.FromSnapshot(*s.warmCfg, snap)
+	if err != nil {
+		return nil
+	}
+	return ws
 }
 
 // warmRollChunk is the buffered chunk length for warm roll-forwards: big
@@ -396,7 +378,9 @@ const warmRollChunk = 1 << 16
 // safe for concurrent workers: each call resumes its own emulator, and
 // the shared checkpoint map is read-only after the build (the warm
 // snapshot cache has its own lock).
-func (s *Stream) Source(plan Plan) Source {
+func (s *Stream) Source(plan Plan) Source { return s.source(plan) }
+
+func (s *Stream) source(plan Plan) *streamSource {
 	src := &streamSource{s: s, plan: plan}
 	if s.warmCfg != nil {
 		src.wc = newWarmCollector(len(plan.Intervals))
@@ -417,19 +401,12 @@ func (ss *streamSource) IntervalTrace(i int) (*trace.Trace, int, error) {
 			iv.Start, iv.End, ss.s.Total)
 	}
 	begin, warmN := beginOf(ss.plan, i)
-	var e *emu.Emulator
-	var err error
-	if ss.wc != nil {
-		var snap []byte
-		e, snap, err = ss.s.resumeWarmAt(int64(begin))
-		if err == nil {
-			ss.wc.set(i, snap, iv.Start, iv.End)
-		}
-	} else {
-		e, err = ss.s.resumeAt(int64(begin))
-	}
+	e, snap, err := ss.s.resumeAt(int64(begin), ss.wc != nil)
 	if err != nil {
 		return nil, 0, fmt.Errorf("sampling: interval [%d,%d): %w", iv.Start, iv.End, err)
+	}
+	if ss.wc != nil {
+		ss.wc.set(i, snap, iv.Start, iv.End)
 	}
 	init := e.Mem.Clone()
 	sub, err := trace.Collect(e, int64(iv.End-begin), ss.s.Prog, init)
@@ -440,14 +417,11 @@ func (ss *streamSource) IntervalTrace(i int) (*trace.Trace, int, error) {
 		return nil, 0, fmt.Errorf("sampling: interval [%d,%d): stream replay produced %d of %d entries",
 			iv.Start, iv.End, len(sub.Entries), iv.End-begin)
 	}
-	// Match the materialized Slice contract: an interval is an excerpt,
-	// not a program that halted.
+	// Match the Slice contract: an interval is an excerpt, not a program
+	// that halted.
 	sub.HitHalt = false
 	return sub, warmN, nil
 }
 
 func (ss *streamSource) IntervalWarm(i int) []byte { return ss.wc.get(i) }
 func (ss *streamSource) WarmInstallFailed(i int)   { ss.wc.installFailed(i) }
-func (ss *streamSource) warmStats() (int64, int64, int64) {
-	return ss.wc.stats()
-}

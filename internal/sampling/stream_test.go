@@ -10,74 +10,86 @@ import (
 
 	"dmdp/internal/artifact"
 	"dmdp/internal/config"
+	"dmdp/internal/emu"
+	"dmdp/internal/mem"
 	"dmdp/internal/workload"
 )
 
-func execRequest(t *testing.T, bench string, budget int64) (Request, Request) {
+// execRequest is a streamed sampled request for bench at budget, with
+// its artifact trace key set and no store.
+func execRequest(t *testing.T, bench string, budget int64) Request {
 	t.Helper()
 	s, ok := workload.Get(bench)
 	if !ok {
 		t.Fatalf("unknown bench %s", bench)
 	}
-	tr, err := s.BuildTrace(budget)
-	if err != nil {
-		t.Fatal(err)
-	}
 	prog, err := s.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := artifact.TraceKey(s.SourceHash(), budget)
-	mat := Request{Budget: budget, Trace: tr, TraceKey: key}
-	str := Request{Budget: budget, Prog: prog, TraceKey: key}
-	return mat, str
+	return Request{Budget: budget, Prog: prog, TraceKey: artifact.TraceKey(s.SourceHash(), budget)}
 }
 
 // TestStreamMatchesMaterialized is the core equivalence oracle of the
-// streaming path: re-materializing intervals from checkpoints + emulator
-// replay must give byte-identical combined stats to slicing a fully
-// materialized trace.
+// streamed path: re-materializing intervals from checkpoints + emulator
+// replay must give byte-identical combined stats to Run, which slices a
+// fully built trace.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	cfg := config.Default(config.DMDP)
+	const budget = 50_000
 	spec := Spec{Count: 4, Len: 2_000, Warmup: 500}
-	mat, str := execRequest(t, "gcc", 50_000)
-	mat.Spec, str.Spec = spec, spec
-
-	a, err := Execute(context.Background(), cfg, mat)
+	req := execRequest(t, "gcc", budget)
+	req.Spec = spec
+	tr := buildTrace(t, "gcc", budget)
+	plan, err := Uniform(len(tr.Entries), spec.Len, spec.Count)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(context.Background(), cfg, str)
+	want, err := Run(tr, cfg, plan.WithWarmup(spec.Warmup))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Streamed || a.Streamed {
-		t.Fatal("path selection wrong")
+	got, err := Execute(context.Background(), cfg, req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Combined.MarshalCanonical(), b.Combined.MarshalCanonical()) {
-		t.Fatalf("streamed result differs from materialized:\nmat IPC %f\nstr IPC %f",
-			a.Combined.WeightedIPC, b.Combined.WeightedIPC)
+	if got.Total != int64(len(tr.Entries)) {
+		t.Fatalf("stream executed %d instructions, trace holds %d", got.Total, len(tr.Entries))
+	}
+	if !bytes.Equal(want.MarshalCanonical(), got.Combined.MarshalCanonical()) {
+		t.Fatalf("streamed result differs from Run over the built trace:\nrun IPC %f\nstr IPC %f",
+			want.WeightedIPC, got.Combined.WeightedIPC)
 	}
 }
 
+// TestStreamAutoPlanMatchesMaterializedAuto: the stream's per-chunk BBVs
+// plan exactly what the built trace's chunks plan, and the streamed
+// intervals simulate exactly as Run's.
 func TestStreamAutoPlanMatchesMaterializedAuto(t *testing.T) {
 	cfg := config.Default(config.DMDP)
+	const budget = 60_000
 	spec := Spec{Auto: true, K: 4}
-	mat, str := execRequest(t, "sjeng", 60_000)
-	mat.Spec, str.Spec = spec, spec
-	a, err := Execute(context.Background(), cfg, mat)
+	req := execRequest(t, "sjeng", budget)
+	req.Spec = spec
+	tr := buildTrace(t, "sjeng", budget)
+	chunkLen := autoChunkLen(budget)
+	plan, err := AutoPlan(chunkBBVs(tr.Entries, chunkLen), chunkLen, spec.Phases())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(context.Background(), cfg, str)
+	if len(plan.Intervals) == 0 || len(plan.Intervals) > 4 {
+		t.Fatalf("auto plan size %d", len(plan.Intervals))
+	}
+	want, err := Run(tr, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Plan.Intervals) == 0 || len(a.Plan.Intervals) > 4 {
-		t.Fatalf("auto plan size %d", len(a.Plan.Intervals))
+	got, err := Execute(context.Background(), cfg, req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Combined.MarshalCanonical(), b.Combined.MarshalCanonical()) {
-		t.Fatal("auto plans diverge between materialized and streamed paths")
+	if !bytes.Equal(want.MarshalCanonical(), got.Combined.MarshalCanonical()) {
+		t.Fatal("streamed auto plan diverges from Run over the built trace")
 	}
 }
 
@@ -87,7 +99,7 @@ func TestStreamAutoPlanMatchesMaterializedAuto(t *testing.T) {
 func TestExecuteParallelByteIdentical(t *testing.T) {
 	cfg := config.Default(config.DMDP)
 	spec := Spec{Count: 6, Len: 1_500, Warmup: 300}
-	_, str := execRequest(t, "mcf", 40_000)
+	str := execRequest(t, "mcf", 40_000)
 	str.Spec = spec
 	var ref []byte
 	for _, jobs := range []int{1, 2, 8} {
@@ -118,7 +130,7 @@ func TestCheckpointWarmAndCorruptDegrade(t *testing.T) {
 	}
 	cfg := config.Default(config.DMDP)
 	spec := Spec{Auto: true, K: 3, Warmup: 200}
-	_, str := execRequest(t, "astar", 40_000)
+	str := execRequest(t, "astar", 40_000)
 	str.Spec, str.Checkpoint, str.Store = spec, true, store
 
 	cold, err := Execute(context.Background(), cfg, str)
@@ -175,57 +187,77 @@ func TestCheckpointWarmAndCorruptDegrade(t *testing.T) {
 	}
 }
 
-// TestTraceSourceCheckpointRestore: the materialized path's image
-// checkpoints round-trip through the store and reproduce exactly what
-// the rolling pass (and the legacy per-interval Slice) computes.
-func TestTraceSourceCheckpointRestore(t *testing.T) {
-	store, err := artifact.Open(t.TempDir(), artifact.RW, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, _ := execRequest(t, "perl", 30_000)
-	plan, err := Uniform(len(mat.Trace.Entries), 2_000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.Warmup = 400
+// TestImageOnlyCheckpointIsSkipped: stores written by earlier versions
+// can hold image-only DMDPCKP1 records (no architectural state) under
+// the same checkpoint keys the streamed path uses. Resuming must pass
+// over such a record to an older boundary — no error, and a result
+// byte-identical to a fresh-store run.
+func TestImageOnlyCheckpointIsSkipped(t *testing.T) {
+	const budget = 50_000
+	cfg := config.Default(config.DMDP)
+	req := execRequest(t, "gcc", budget)
+	req.Spec, req.Checkpoint = Spec{Count: 4, Len: 2_000, Warmup: 500}, true
 
-	cold, err := NewTraceSource(mat.Trace, plan, store, mat.TraceKey, true, nil)
+	fresh := req
+	var err error
+	if fresh.Store, err = artifact.Open(t.TempDir(), artifact.RW, 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(context.Background(), cfg, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewTraceSource(mat.Trace, plan, store, mat.TraceKey, true, nil)
-	if err != nil {
+
+	if req.Store, err = artifact.Open(t.TempDir(), artifact.RW, 0); err != nil {
 		t.Fatal(err)
 	}
-	if store.Counters().CheckpointHits != int64(len(plan.Intervals)) {
-		t.Fatalf("warm source should restore every interval: %+v", store.Counters())
+	if _, err := Execute(context.Background(), cfg, req); err != nil {
+		t.Fatal(err)
 	}
-	for i := range plan.Intervals {
-		a, warmA, err := cold.IntervalTrace(i)
+	// Overwrite the checkpoint of every boundary an interval resumes
+	// from (boundary 0 aside) with the image-only record that sampling
+	// over a built trace used to write there: the changed pages of the
+	// image rolled forward over that trace.
+	tr := buildTrace(t, "gcc", budget)
+	chunkLen := autoChunkLen(budget)
+	overwritten := 0
+	for i := range want.Plan.Intervals {
+		begin, _ := beginOf(want.Plan, i)
+		at := begin / chunkLen * chunkLen
+		if at == 0 {
+			continue
+		}
+		rolled, err := Slice(tr, Interval{Start: at, End: at + 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, warmB, err := warm.IntervalTrace(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		begin, wantWarm := beginOf(plan, i)
-		if warmA != wantWarm || warmB != wantWarm {
-			t.Fatalf("interval %d warm %d/%d, want %d", i, warmA, warmB, wantWarm)
-		}
-		ref, err := Slice(mat.Trace, Interval{Start: begin, End: plan.Intervals[i].End, Weight: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Entries) != len(ref.Entries) || len(b.Entries) != len(ref.Entries) {
-			t.Fatalf("interval %d length mismatch", i)
-		}
-		for j := range ref.Entries {
-			if a.Entries[j] != ref.Entries[j] || b.Entries[j] != ref.Entries[j] {
-				t.Fatalf("interval %d entry %d differs from Slice reference", i, j)
+		ck := &emu.Checkpoint{At: int64(at), Pages: map[uint32]*[mem.PageSize]byte{}}
+		rolled.InitMem.ForEachPage(func(base uint32, data *[mem.PageSize]byte) {
+			if init, _ := tr.InitMem.PageCopy(base); init == nil || *init != *data {
+				pg := *data
+				ck.Pages[base] = &pg
 			}
+		})
+		key := artifact.CheckpointKey(req.TraceKey, int64(at))
+		req.Store.StoreCheckpoint(key, ck)
+		if got, ok := req.Store.LoadCheckpoint(key); !ok || got.HasArch {
+			t.Fatalf("boundary %d: image-only record did not round-trip", at)
 		}
+		overwritten++
+	}
+	if overwritten == 0 {
+		t.Fatal("no interval resumes past boundary 0; the test exercises nothing")
+	}
+
+	got, err := Execute(context.Background(), cfg, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.PlanCached {
+		t.Fatal("re-run should reuse the cached plan and restore from the store")
+	}
+	if !bytes.Equal(want.Combined.MarshalCanonical(), got.Combined.MarshalCanonical()) {
+		t.Fatal("run over image-only checkpoints differs from a fresh-store run")
 	}
 }
 
@@ -242,7 +274,7 @@ func TestSystematicSpecChunkingIsBudgetDerived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, str := execRequest(t, "gcc", budget)
+	str := execRequest(t, "gcc", budget)
 	str.Spec = Spec{Count: 1, Len: 10}
 	str.Checkpoint, str.Store = true, store
 

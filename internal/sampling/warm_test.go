@@ -10,45 +10,85 @@ import (
 
 	"dmdp/internal/artifact"
 	"dmdp/internal/config"
+	"dmdp/internal/trace"
 	"dmdp/internal/warm"
 )
 
+// continuousWarmSource is the functional-warming reference: Slice
+// intervals, each installing the snapshot of one continuous warm.Update
+// pass over every entry of the built trace before its begin.
+type continuousWarmSource struct {
+	sliceSource
+	snaps  [][]byte
+	failed bool
+}
+
+func newContinuousWarmSource(t *testing.T, tr *trace.Trace, plan Plan, wcfg warm.Config) *continuousWarmSource {
+	t.Helper()
+	src := &continuousWarmSource{sliceSource: sliceSource{tr: tr, plan: plan}}
+	ws := warm.New(wcfg)
+	cursor := 0
+	for i := range plan.Intervals {
+		begin, _ := beginOf(plan, i)
+		if begin < cursor {
+			t.Fatalf("interval %d begins at %d, before interval %d's %d", i, begin, i-1, cursor)
+		}
+		for ; cursor < begin; cursor++ {
+			ws.Update(&tr.Entries[cursor])
+		}
+		src.snaps = append(src.snaps, ws.Snapshot())
+	}
+	return src
+}
+
+func (s *continuousWarmSource) IntervalWarm(i int) []byte { return s.snaps[i] }
+func (s *continuousWarmSource) WarmInstallFailed(int)     { s.failed = true }
+
 // TestWarmStreamMatchesMaterialized is the functional-warming
 // equivalence oracle: the streamed path's snapshot-restore-continue
-// warm state must install byte-identically to the materialized path's
-// continuous rolling pass, so the combined stats match exactly.
+// warm state must install byte-identically to one continuous warming
+// pass over the built trace, so the combined stats match exactly.
 func TestWarmStreamMatchesMaterialized(t *testing.T) {
 	cfg := config.Default(config.DMDP)
+	const budget = 50_000
 	spec := Spec{Count: 4, Len: 2_000, Warmup: 500}
-	mat, str := execRequest(t, "gcc", 50_000)
-	mat.Spec, str.Spec = spec, spec
-	mat.Warm, str.Warm = true, true
+	req := execRequest(t, "gcc", budget)
+	req.Spec, req.Warm = spec, true
 
-	a, err := Execute(context.Background(), cfg, mat)
+	tr := buildTrace(t, "gcc", budget)
+	plan, err := Uniform(len(tr.Entries), spec.Len, spec.Count)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(context.Background(), cfg, str)
+	plan.Warmup = spec.Warmup
+	ref := newContinuousWarmSource(t, tr, plan, warm.ConfigFrom(cfg))
+	want, err := RunPlan(context.Background(), cfg, plan, ref, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []*Outcome{a, b} {
-		if !o.Warmed {
-			t.Fatal("outcome not marked warmed")
-		}
-		if o.ColdStartIntervals != 0 {
-			t.Fatalf("%d cold-start intervals with everything available", o.ColdStartIntervals)
-		}
-		if o.WarmedIntervals != int64(len(o.Plan.Intervals)) {
-			t.Fatalf("warmed %d of %d intervals", o.WarmedIntervals, len(o.Plan.Intervals))
-		}
-		if o.WarmSnapshotBytes == 0 {
-			t.Fatal("no warm snapshot bytes accounted")
-		}
+	if ref.failed {
+		t.Fatal("reference warm snapshot rejected at install")
 	}
-	if !bytes.Equal(a.Combined.MarshalCanonical(), b.Combined.MarshalCanonical()) {
-		t.Fatalf("warmed streamed result differs from materialized:\nmat IPC %f\nstr IPC %f",
-			a.Combined.WeightedIPC, b.Combined.WeightedIPC)
+
+	got, err := Execute(context.Background(), cfg, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Warmed {
+		t.Fatal("outcome not marked warmed")
+	}
+	if got.ColdStartIntervals != 0 {
+		t.Fatalf("%d cold-start intervals with everything available", got.ColdStartIntervals)
+	}
+	if got.WarmedIntervals != int64(len(got.Plan.Intervals)) {
+		t.Fatalf("warmed %d of %d intervals", got.WarmedIntervals, len(got.Plan.Intervals))
+	}
+	if got.WarmSnapshotBytes == 0 {
+		t.Fatal("no warm snapshot bytes accounted")
+	}
+	if !bytes.Equal(want.MarshalCanonical(), got.Combined.MarshalCanonical()) {
+		t.Fatalf("warmed streamed result differs from continuous warming:\nref IPC %f\nstr IPC %f",
+			want.WeightedIPC, got.Combined.WeightedIPC)
 	}
 }
 
@@ -60,7 +100,7 @@ func TestWarmChangesSampledResult(t *testing.T) {
 	// No detailed warmup: every cold interval then starts from empty
 	// caches, so installing warm state must move IPC.
 	spec := Spec{Count: 4, Len: 2_000}
-	_, cold := execRequest(t, "mcf", 50_000)
+	cold := execRequest(t, "mcf", 50_000)
 	cold.Spec = spec
 	warmReq := cold
 	warmReq.Warm = true
@@ -83,7 +123,7 @@ func TestWarmChangesSampledResult(t *testing.T) {
 func TestWarmParallelByteIdentical(t *testing.T) {
 	cfg := config.Default(config.DMDP)
 	spec := Spec{Count: 6, Len: 1_500, Warmup: 300}
-	_, str := execRequest(t, "mcf", 40_000)
+	str := execRequest(t, "mcf", 40_000)
 	str.Spec, str.Warm = spec, true
 	var ref []byte
 	for _, jobs := range []int{1, 2, 8} {
@@ -116,7 +156,7 @@ func TestWarmArtifactCycle(t *testing.T) {
 	}
 	cfg := config.Default(config.DMDP)
 	spec := Spec{Auto: true, K: 3, Warmup: 200}
-	_, str := execRequest(t, "astar", 40_000)
+	str := execRequest(t, "astar", 40_000)
 	str.Spec, str.Checkpoint, str.Store, str.Warm = spec, true, store, true
 
 	first, err := Execute(context.Background(), cfg, str)
@@ -201,7 +241,7 @@ func TestWarmArtifactCycle(t *testing.T) {
 // run and honest accounting, never an error.
 func TestWarmMissingStateColdStarts(t *testing.T) {
 	cfg := config.Default(config.DMDP)
-	_, str := execRequest(t, "gcc", 50_000)
+	str := execRequest(t, "gcc", 50_000)
 	wc := warm.ConfigFrom(cfg)
 	s, err := BuildStream(context.Background(), str.Prog, str.Budget, autoChunkLen(str.Budget),
 		nil, str.TraceKey, false, &wc)
@@ -222,11 +262,11 @@ func TestWarmMissingStateColdStarts(t *testing.T) {
 	}
 	s.warmMu.Unlock()
 
-	src := s.Source(plan)
+	src := s.source(plan)
 	if _, err := RunPlan(context.Background(), cfg, plan, src, 2); err != nil {
 		t.Fatal(err)
 	}
-	warmed, cold, _ := src.(*streamSource).warmStats()
+	warmed, cold, _ := src.wc.stats()
 	if cold == 0 {
 		t.Fatal("no interval cold-started with all non-zero warm snapshots dropped")
 	}
@@ -244,7 +284,7 @@ func TestWarmDisabledUnderFaults(t *testing.T) {
 	if !cfg.Faults.Enabled() {
 		t.Skip("fault config shape changed; update the test")
 	}
-	_, str := execRequest(t, "gcc", 30_000)
+	str := execRequest(t, "gcc", 30_000)
 	str.Spec, str.Warm = Spec{Count: 2, Len: 1_000}, true
 	out, err := Execute(context.Background(), cfg, str)
 	if err != nil {

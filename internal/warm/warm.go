@@ -141,8 +141,8 @@ func New(cfg Config) *State {
 // Update advances the warm state by one trace entry. It uses only the
 // raw entry fields (PC, op, address, size, taken, target) — streamed
 // entries are un-analyzed, and the analyzed dependence fields must not
-// influence warm state or the streamed and materialized paths would
-// diverge.
+// influence warm state or the streamed path would diverge from a
+// warming pass over a built trace.
 //
 // Per entry, in the detailed core's trace order:
 //   - control ops train the branch predictor (fetch trains in trace
@@ -282,8 +282,8 @@ const snapHeader = 8 + 8 + 1
 // Snapshot encodes the complete warm state canonically. Two states that
 // would behave identically from here on encode to identical bytes (LRU
 // timestamps are rank-normalized away), so snapshots double as the
-// determinism oracle across the streamed, materialized and
-// store-round-trip paths.
+// determinism oracle between the streamed path, a continuous warming
+// pass over a built trace, and store round trips.
 func (s *State) Snapshot() []byte {
 	size := snapHeader + 4 + s.L1.WarmStateLen() + 4 + s.L2.WarmStateLen() +
 		4 + s.TLB.WarmStateLen() + 4 + s.BP.WarmStateLen() + 4 + s.TSSBF.WarmStateLen()

@@ -61,7 +61,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // Warming continuously over a whole trace must equal warming a prefix,
 // snapshotting, restoring, and continuing — the property that makes a
 // boundary snapshot interchangeable with the live pass, and therefore
-// the streamed and materialized paths byte-identical.
+// the streamed path byte-identical to one continuous warming pass.
 func TestContinuousEqualsRestoreContinue(t *testing.T) {
 	tr := testTrace(t, "gcc", 200_000)
 	cfg := testConfig()

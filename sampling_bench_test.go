@@ -10,13 +10,6 @@ import (
 	"dmdp/internal/workload"
 )
 
-// The checkpoint-vs-roll-forward pair below measures interval extraction
-// for a whole sampling plan on a materialized trace. Roll-forward pays
-// O(interval start) memory-image replay per interval; a warm checkpoint
-// store restores each begin image from its persisted dirty-page delta.
-// The gap is the reason checkpointed sampling scales to 100M+ budgets
-// (BENCH_0005.json records the baseline; DESIGN.md §12 has the scheme).
-
 const (
 	samplingBenchBudget = 2_000_000
 	samplingIntervalLen = 1_000
@@ -24,41 +17,12 @@ const (
 	samplingWarmup      = 250
 )
 
-func samplingBenchSetup(b *testing.B) (*Trace, sampling.Plan, artifact.Key) {
-	b.Helper()
-	spec, ok := workload.Get("gcc")
-	if !ok {
-		b.Fatal("gcc proxy missing")
-	}
-	tr, err := spec.BuildTrace(samplingBenchBudget)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := sampling.Uniform(len(tr.Entries), samplingIntervalLen, samplingCount)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr, plan.WithWarmup(samplingWarmup), artifact.TraceKey(spec.SourceHash(), samplingBenchBudget)
-}
-
-// BenchmarkRollForwardSlice: every interval begin is reached by replaying
-// the memory image from entry 0 — the legacy Slice path.
-func BenchmarkRollForwardSlice(b *testing.B) {
-	tr, plan, key := samplingBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sampling.NewTraceSource(tr, plan, nil, key, false, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The cold/warm Execute pair times the whole sampled pipeline on the
-// streaming path — profiling pass, planning, interval simulation — with
-// functional warming off and on. The warming overhead rides the
-// profiling pass (tag-only updates at tens of Mentries/s) plus one
-// delta snapshot per checkpoint; BENCH_0006.json records the baseline
-// and the 100M-budget sampled-vs-full wall-clock gap.
+// The cold/warm Execute pair times the whole sampled pipeline — profiling
+// pass, planning, interval simulation — with functional warming off and
+// on. The warming overhead rides the profiling pass (tag-only updates at
+// tens of Mentries/s) plus one delta snapshot per checkpoint;
+// BENCH_0006.json records the baseline and the 100M-budget
+// sampled-vs-full wall-clock gap.
 
 func benchmarkSampledExecute(b *testing.B, warm bool) {
 	spec, ok := workload.Get("gcc")
@@ -89,23 +53,44 @@ func benchmarkSampledExecute(b *testing.B, warm bool) {
 func BenchmarkSampledExecuteCold(b *testing.B) { benchmarkSampledExecute(b, false) }
 func BenchmarkSampledExecuteWarm(b *testing.B) { benchmarkSampledExecute(b, true) }
 
-// BenchmarkCheckpointRestore: identical extraction against a warm
-// checkpoint store — each begin image restores from its dirty-page delta
-// instead of replaying the prefix.
+// BenchmarkCheckpointRestore measures interval extraction for a whole
+// sampling plan against a warm checkpoint store, as a re-run with a
+// cached plan does it: each interval restores its nearest boundary's
+// dirty-page delta and re-emulates at most one chunk, instead of
+// replaying the prefix from instruction zero (DESIGN.md §12 has the
+// scheme).
 func BenchmarkCheckpointRestore(b *testing.B) {
-	tr, plan, key := samplingBenchSetup(b)
+	spec, ok := workload.Get("gcc")
+	if !ok {
+		b.Fatal("gcc proxy missing")
+	}
+	prog, err := spec.Program()
+	if err != nil {
+		b.Fatal(err)
+	}
 	store, err := artifact.Open(b.TempDir(), artifact.RW, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Cold pass publishes the checkpoints the timed passes restore.
-	if _, err := sampling.NewTraceSource(tr, plan, store, key, true, nil); err != nil {
+	key := artifact.TraceKey(spec.SourceHash(), samplingBenchBudget)
+	const chunkLen = samplingBenchBudget / 100
+	// The building pass publishes the checkpoints the timed passes restore.
+	s, err := sampling.BuildStream(context.Background(), prog, samplingBenchBudget, chunkLen, store, key, true, nil)
+	if err != nil {
 		b.Fatal(err)
 	}
+	plan, err := sampling.Uniform(int(s.Total), samplingIntervalLen, samplingCount)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan = plan.WithWarmup(samplingWarmup)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sampling.NewTraceSource(tr, plan, store, key, true, nil); err != nil {
-			b.Fatal(err)
+		src := sampling.OpenStream(prog, chunkLen, s.Total, s.HitHalt, store, key, nil).Source(plan)
+		for j := range plan.Intervals {
+			if _, _, err := src.IntervalTrace(j); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
