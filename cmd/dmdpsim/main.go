@@ -25,6 +25,7 @@ import (
 	"dmdp/internal/artifact"
 	"dmdp/internal/asm"
 	"dmdp/internal/cliutil"
+	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/isa"
 	"dmdp/internal/profiling"
@@ -43,7 +44,7 @@ func main() {
 		rob       = flag.Int("rob", 0, "ROB entries (0 = default 256)")
 		physRegs  = flag.Int("physregs", 0, "physical registers (0 = default 320)")
 		rmo       = flag.Bool("rmo", false, "use RMO consistency instead of TSO")
-		cores     = flag.Int("cores", 1, "run N copies of the workload on an N-core machine over a shared L2 (timing-only)")
+		cores     = flag.Int("cores", 1, "run N copies of the workload on an N-core machine over a shared L2 (timing-only; -model baseline or dmdp)")
 		mcSeed    = flag.Uint64("mcseed", 0, "multicore interleaving seed (with -cores > 1)")
 		list      = flag.Bool("list", false, "list proxy benchmarks and exit")
 		pipeview  = flag.Int("pipeview", 0, "render a pipeline view of the first N retired instructions")
@@ -92,7 +93,7 @@ func main() {
 		}
 	}()
 
-	model, err := parseModel(*modelName)
+	model, err := config.ParseModel(*modelName)
 	if err != nil {
 		fatal(err)
 	}
@@ -393,22 +394,6 @@ func runMulticore(cfg dmdp.Config, model dmdp.Model, n int, seed uint64, tr *dmd
 	if st.SimWallClockNS > 0 {
 		fmt.Fprintf(os.Stderr, "sim wall clock     %.3fs\n", float64(st.SimWallClockNS)/1e9)
 	}
-}
-
-func parseModel(s string) (dmdp.Model, error) {
-	switch strings.ToLower(s) {
-	case "baseline":
-		return dmdp.Baseline, nil
-	case "nosq":
-		return dmdp.NoSQ, nil
-	case "dmdp":
-		return dmdp.DMDP, nil
-	case "perfect":
-		return dmdp.Perfect, nil
-	case "fnf":
-		return dmdp.FnF, nil
-	}
-	return 0, fmt.Errorf("unknown model %q (baseline|nosq|dmdp|perfect|fnf)", s)
 }
 
 func printStats(model dmdp.Model, st *dmdp.Stats) {

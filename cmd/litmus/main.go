@@ -48,14 +48,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var coreModel config.Model
-	switch strings.ToLower(*coreName) {
-	case "baseline":
-		coreModel = config.Baseline
-	case "dmdp":
-		coreModel = config.DMDP
-	default:
-		fatal(fmt.Errorf("unknown core model %q (baseline|dmdp)", *coreName))
+	coreModel, err := config.ParseModel(*coreName)
+	if err != nil {
+		fatal(fmt.Errorf("-core: %w", err))
 	}
 
 	var names []string

@@ -171,6 +171,10 @@ type Hierarchy struct {
 	outstanding []mshr
 	maxMSHRs    int
 	prefetch    bool
+	// at is the cycle the walk in progress issues its L2 and DRAM
+	// traffic at (the access cycle, or later after an MSHR stall);
+	// ready is its demand fill's completion cycle.
+	at, ready int64
 
 	// Stats.
 	L1Hits, L2Hits, DRAMFills, MSHRMerges, MSHRStalls, Prefetches int64
@@ -221,7 +225,9 @@ func NewHierarchyOver(cfg HierarchyConfig, l2 *Cache, d *dram.DRAM) *Hierarchy {
 // Latency model: L1 hit = L1 latency; L2 hit = L1 + L2 latency; otherwise
 // the DRAM completion time. The L1 tag is filled at access time but the
 // line is tracked in an MSHR until its data returns, so accesses to a line
-// in flight merge with (and wait for) the outstanding fill.
+// in flight merge with (and wait for) the outstanding fill. Every other
+// access changes tag state through walk, the same walk functional
+// warming runs (Walk).
 func (h *Hierarchy) Access(now int64, addr uint32, write bool) int64 {
 	lineAddr := h.L1D.LineAddr(addr)
 	h.pruneMSHRs(now)
@@ -238,85 +244,71 @@ func (h *Hierarchy) Access(now int64, addr uint32, write bool) int64 {
 			return done
 		}
 	}
-
-	hit, wbAddr, wb := h.L1D.access(addr, write, true)
-	if wb {
-		// Dirty eviction from L1 goes to L2.
-		if _, wb2Addr, wb2 := h.L2.access(wbAddr, true, true); wb2 {
-			h.DRAM.Access(now, wb2Addr, true) // occupies a bank; not waited on
-		}
-	}
-	if hit {
+	h.at = now
+	if walk(h.L1D, h.L2, addr, write, h.prefetch, h) {
 		h.L1Hits++
 		return now + h.L1D.cfg.Latency
 	}
-
-	start := now
-	if h.maxMSHRs > 0 && len(h.outstanding) >= h.maxMSHRs {
-		// All MSHRs busy: wait for the earliest to free.
-		h.MSHRStalls++
-		earliest := h.outstanding[0].readyAt
-		for _, m := range h.outstanding[1:] {
-			if m.readyAt < earliest {
-				earliest = m.readyAt
-			}
-		}
-		start = earliest
-		h.pruneMSHRsAt(start)
-	}
-
-	var ready int64
-	l2hit, wb2Addr, wb2 := h.L2.access(addr, false, true)
-	if wb2 {
-		h.DRAM.Access(start, wb2Addr, true)
-	}
-	if l2hit {
-		h.L2Hits++
-		ready = start + h.L1D.cfg.Latency + h.L2.cfg.Latency
-	} else {
-		h.DRAMFills++
-		ready = h.DRAM.Access(start+h.L1D.cfg.Latency+h.L2.cfg.Latency, lineAddr, false)
-	}
-	h.outstanding = append(h.outstanding, mshr{lineAddr: lineAddr, readyAt: ready})
-
-	if h.prefetch {
-		h.prefetchLine(start, lineAddr+uint32(h.L1D.cfg.LineBytes))
-	}
-	return ready
+	return h.ready
 }
 
-// prefetchLine issues a non-blocking next-line fill: the line's tags are
-// installed and an MSHR tracks the in-flight data, so a demand access
-// merges with (and waits for) it instead of paying the full miss.
-func (h *Hierarchy) prefetchLine(now int64, lineAddr uint32) {
-	if h.L1D.Lookup(lineAddr) {
+// miss implements memSide: a demand miss needs an MSHR; when all are
+// busy it waits for the earliest to free, and everything after the
+// L1 probe starts then.
+func (h *Hierarchy) miss() {
+	if h.maxMSHRs == 0 || len(h.outstanding) < h.maxMSHRs {
 		return
 	}
+	h.MSHRStalls++
+	earliest := h.outstanding[0].readyAt
+	for _, m := range h.outstanding[1:] {
+		if m.readyAt < earliest {
+			earliest = m.readyAt
+		}
+	}
+	h.at = earliest
+	h.pruneMSHRsAt(earliest)
+}
+
+// writeback implements memSide: a dirty L2 victim occupies a DRAM bank
+// but is not waited on.
+func (h *Hierarchy) writeback(addr uint32) { h.DRAM.Access(h.at, addr, true) }
+
+// fill implements memSide: an MSHR tracks the line until its data
+// returns from L2 or DRAM, so a later access merges with it.
+func (h *Hierarchy) fill(lineAddr uint32, l2hit, demand bool) {
+	var ready int64
+	if l2hit {
+		if demand {
+			h.L2Hits++
+		}
+		ready = h.at + h.L1D.cfg.Latency + h.L2.cfg.Latency
+	} else {
+		if demand {
+			h.DRAMFills++
+		}
+		ready = h.DRAM.Access(h.at+h.L1D.cfg.Latency+h.L2.cfg.Latency, lineAddr, false)
+	}
+	h.outstanding = append(h.outstanding, mshr{lineAddr: lineAddr, readyAt: ready})
+	if demand {
+		h.ready = ready
+	}
+}
+
+// mayPrefetch implements memSide: a next-line prefetch is dropped when
+// the line is already in flight or every MSHR is busy (it never stalls
+// a demand access).
+func (h *Hierarchy) mayPrefetch(lineAddr uint32) bool {
 	for _, m := range h.outstanding {
 		if m.lineAddr == lineAddr {
-			return
+			return false
 		}
 	}
 	if h.maxMSHRs > 0 && len(h.outstanding) >= h.maxMSHRs {
-		return // never stall a demand access for a prefetch
+		return false
 	}
 	h.Prefetches++
-	var ready int64
-	l2hit, wbAddr, wb := h.L2.access(lineAddr, false, true)
-	if wb {
-		h.DRAM.Access(now, wbAddr, true)
-	}
-	if l2hit {
-		ready = now + h.L1D.cfg.Latency + h.L2.cfg.Latency
-	} else {
-		ready = h.DRAM.Access(now+h.L1D.cfg.Latency+h.L2.cfg.Latency, lineAddr, false)
-	}
-	if _, wb1Addr, wb1 := h.L1D.access(lineAddr, false, true); wb1 {
-		if _, wb2Addr, wb2 := h.L2.access(wb1Addr, true, true); wb2 {
-			h.DRAM.Access(now, wb2Addr, true)
-		}
-	}
-	h.outstanding = append(h.outstanding, mshr{lineAddr: lineAddr, readyAt: ready})
+	return true
 }
 
 func (h *Hierarchy) pruneMSHRs(now int64) { h.pruneMSHRsAt(now) }

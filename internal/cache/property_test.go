@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -79,6 +80,47 @@ func TestHierarchyMonotoneTime(t *testing.T) {
 			now = done
 		} else {
 			now += int64(r.Intn(10))
+		}
+	}
+}
+
+// TestWalkMatchesTimedAccess: with no fill in flight, the timed
+// Hierarchy.Access and functional warming's Walk change L1 and L2 tag
+// state identically, prefetch on and off. Small caches make dirty
+// evictions, L2 victims and prefetch fills frequent.
+func TestWalkMatchesTimedAccess(t *testing.T) {
+	for _, prefetch := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg := DefaultHierarchyConfig()
+			cfg.L1D = Config{SizeBytes: 1024, LineBytes: 64, Ways: 2, Latency: 4, MSHRs: 4}
+			cfg.L2 = Config{SizeBytes: 4096, LineBytes: 64, Ways: 4, Latency: 12}
+			cfg.NextLinePrefetch = prefetch
+			h := NewHierarchy(cfg)
+			l1, l2 := NewCache(cfg.L1D), NewCache(cfg.L2)
+			r := rand.New(rand.NewSource(seed))
+			now := int64(0)
+			for i := 0; i < 20000; i++ {
+				addr := uint32(r.Intn(1 << 15))
+				write := r.Intn(3) == 0
+				h.Access(now, addr, write)
+				Walk(l1, l2, addr, write, prefetch)
+				// Advance past every outstanding fill so the next access
+				// never merges with one (warming models no MSHRs).
+				for _, m := range h.outstanding {
+					if m.readyAt >= now {
+						now = m.readyAt + 1
+					}
+				}
+			}
+			if h.Prefetches == 0 && prefetch {
+				t.Fatalf("prefetch seed %d: no prefetch issued", seed)
+			}
+			if !bytes.Equal(h.L1D.AppendWarmState(nil), l1.AppendWarmState(nil)) {
+				t.Fatalf("prefetch=%t seed %d: L1 tag state differs", prefetch, seed)
+			}
+			if !bytes.Equal(h.L2.AppendWarmState(nil), l2.AppendWarmState(nil)) {
+				t.Fatalf("prefetch=%t seed %d: L2 tag state differs", prefetch, seed)
+			}
 		}
 	}
 }

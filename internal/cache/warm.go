@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// Functional-warming support: the warm package drives a Cache as a pure
-// tag-state model (WarmAccess) and snapshots/restores that state through
+// Functional-warming support: the warm package drives a Cache pair as a
+// pure tag-state model (Walk) and snapshots/restores that state through
 // a canonical byte encoding (AppendWarmState/LoadWarmState). The encoding
 // is rank-normalized: ways are serialized oldest-to-youngest by LRU
 // timestamp and reloaded with used = 1..k, so only the *relative*
@@ -15,15 +15,6 @@ import (
 // therefore behavior-preserving, and two states with equal tag content
 // and equal recency order encode to identical bytes regardless of the
 // absolute tick values they were built with.
-
-// WarmAccess performs one functional (timing-free) access with fill: the
-// tag, dirty and LRU state change exactly as in the timed access path,
-// and the dirty-eviction writeback address is reported so a caller can
-// propagate it down the hierarchy. Counters accumulate as usual; warm
-// callers discard them.
-func (c *Cache) WarmAccess(addr uint32, write bool) (hit bool, wbAddr uint32, wb bool) {
-	return c.access(addr, write, true)
-}
 
 // warmLineBytes is the serialized size of one valid line.
 const warmLineBytes = 4 + 1 // tag + dirty flag

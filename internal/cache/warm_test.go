@@ -16,7 +16,7 @@ func TestWarmStateRoundTrip(t *testing.T) {
 	addr := func() uint32 { return uint32(rng.Intn(256)) * 64 } // 4 lines per way on average
 	orig := NewCache(cfg)
 	for i := 0; i < 2000; i++ {
-		orig.WarmAccess(addr(), rng.Intn(3) == 0)
+		orig.access(addr(), rng.Intn(3) == 0, true)
 	}
 	want := orig.AppendWarmState(nil)
 	if len(want) > orig.WarmStateLen() {
@@ -39,9 +39,9 @@ func TestWarmStateRoundTrip(t *testing.T) {
 
 	for i := 0; i < 2000; i++ {
 		a, w := addr(), rng.Intn(3) == 0
-		h0, wa0, wb0 := orig.WarmAccess(a, w)
-		h1, wa1, wb1 := loaded.WarmAccess(a, w)
-		h2, wa2, wb2 := copied.WarmAccess(a, w)
+		h0, wa0, wb0 := orig.access(a, w, true)
+		h1, wa1, wb1 := loaded.access(a, w, true)
+		h2, wa2, wb2 := copied.access(a, w, true)
 		if h0 != h1 || h0 != h2 || wb0 != wb1 || wb0 != wb2 || wa0 != wa1 || wa0 != wa2 {
 			t.Fatalf("access %d to %#x: original (%v %#x %v), loaded (%v %#x %v), copied (%v %#x %v)",
 				i, a, h0, wa0, wb0, h1, wa1, wb1, h2, wa2, wb2)

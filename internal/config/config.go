@@ -6,6 +6,9 @@
 package config
 
 import (
+	"fmt"
+	"strings"
+
 	"dmdp/internal/bpred"
 	"dmdp/internal/cache"
 	"dmdp/internal/faults"
@@ -69,6 +72,16 @@ func (m Model) String() string {
 		return "fnf"
 	}
 	return "model?"
+}
+
+// ParseModel parses a model name as String renders it, in any case.
+func ParseModel(s string) (Model, error) {
+	for m := Baseline; m <= FnF; m++ {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown model %q (baseline|nosq|dmdp|perfect|fnf)", s)
 }
 
 // Consistency selects the store buffer's commit ordering.

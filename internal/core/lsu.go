@@ -532,7 +532,7 @@ func (c *Core) verifyLoad(in *inst) verifyResult {
 			if c.cfg.Model == config.FnF {
 				c.trainFnFAfterReexec(in)
 			} else {
-				c.trainAfterReexec(in)
+				c.trainSDP(in, true)
 			}
 		}
 		in.needReexec = false
@@ -543,47 +543,27 @@ func (c *Core) verifyLoad(in *inst) verifyResult {
 	if c.cfg.Model == config.FnF {
 		c.trainFnFNoReexec(in)
 	} else {
-		c.trainNoReexec(in)
+		c.trainSDP(in, false)
 	}
 	return verifyOK
 }
 
-// trainAfterReexec applies the silent-store-aware update policy: the
-// Store Distance Predictor learns the observed dependence on *every*
-// re-execution, not only on exceptions (paper §IV-C a). When the actual
-// distance is outside the predictor's 6-bit range but a prediction was
-// used, the confidence still drops (the prediction was wrong).
-func (c *Core) trainAfterReexec(in *inst) {
+// trainSDP trains the distance predictor for a retiring load through
+// memdep.TrainLoad, judged by the core's own evidence: a used
+// prediction is correct when the T-SSBF names the predicted store (no
+// tag-match check), and a collision needs a tag match within the
+// predictor's 6-bit range.
+func (c *Core) trainSDP(in *inst, reexecuted bool) {
 	actual := in.e.StoresBefore - in.tssbfSSN
-	switch {
-	case in.tssbfMatch && actual >= 0 && actual <= c.cfg.MaxDist():
-		// Evidence of a real collision (tag match): learn it.
-		c.sdp.TrainWrong(in.e.PC, in.histAtRen, actual)
+	v := memdep.Verdict{
+		Used:       in.ssnByp > 0,
+		UsedDist:   in.usedDist,
+		Correct:    in.tssbfSSN == in.ssnByp,
+		Collided:   in.tssbfMatch && actual >= 0 && actual <= c.cfg.MaxDist(),
+		ActualDist: actual,
+		Reexecuted: reexecuted,
+	}
+	if memdep.TrainLoad(c.sdp, in.e.PC, in.histAtRen, v) {
 		c.stats.SDPWrites++
-	case in.ssnByp > 0:
-		// The re-execution came from the conservative fallback or an
-		// out-of-range distance; a used prediction still loses
-		// confidence.
-		c.sdp.TrainWrong(in.e.PC, in.histAtRen, in.usedDist)
-		c.stats.SDPWrites++
-	}
-}
-
-// trainNoReexec updates the confidence of used predictions: correct when
-// the actual colliding store (per T-SSBF) is the predicted one.
-func (c *Core) trainNoReexec(in *inst) {
-	if in.ssnByp == 0 {
-		return
-	}
-	c.stats.SDPWrites++
-	if in.tssbfSSN == in.ssnByp {
-		c.sdp.TrainCorrect(in.e.PC, in.histAtRen, in.usedDist)
-		return
-	}
-	actual := in.e.StoresBefore - in.tssbfSSN
-	if in.tssbfMatch && actual >= 0 && actual <= c.cfg.MaxDist() {
-		c.sdp.TrainWrong(in.e.PC, in.histAtRen, actual)
-	} else {
-		c.sdp.TrainWrong(in.e.PC, in.histAtRen, in.usedDist)
 	}
 }

@@ -305,6 +305,11 @@ func NewMachine(cfg MachineConfig, traces []*trace.Trace) (*Machine, error) {
 	if cfg.Core.Consistency != config.TSO {
 		return nil, fmt.Errorf("machine: per-core consistency must be TSO (in-order drain); got %v", cfg.Core.Consistency)
 	}
+	if m := cfg.Core.Model; m != config.Baseline && m != config.DMDP {
+		// The I2E litmus reference checks only these two (Perfect's
+		// verifyLoad does not even read the remote-invalidation stamps).
+		return nil, fmt.Errorf("machine: per-core model must be baseline or dmdp, the models the litmus oracle checks; got %v", m)
+	}
 	cc := cfg.Core
 	cc.DisableFastForward = true
 	cc.InvalidationInterval = 0

@@ -338,6 +338,24 @@ func TestMachineRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestMachineRejectsUncheckedModels: only Baseline and DMDP cores are
+// checked by the litmus oracle, so a machine of any other model is a
+// configuration error.
+func TestMachineRejectsUncheckedModels(t *testing.T) {
+	trs := threadTraces(t, sbSource, 2, 1000)
+	for _, model := range []config.Model{config.NoSQ, config.FnF, config.Perfect} {
+		_, err := NewMachine(sbMachineConfig(model, MemSC, 0), trs)
+		if err == nil || !strings.Contains(err.Error(), "baseline or dmdp") {
+			t.Errorf("%v machine: got error %v, want a per-core model rejection", model, err)
+		}
+	}
+	for _, model := range []config.Model{config.Baseline, config.DMDP} {
+		if _, err := NewMachine(sbMachineConfig(model, MemSC, 0), trs); err != nil {
+			t.Errorf("%v machine rejected: %v", model, err)
+		}
+	}
+}
+
 // TestMachineDigestCoversEveryField perturbs each MachineConfig field
 // and requires the digest to change: a field the hash skipped would let
 // two different machines share one persisted result.

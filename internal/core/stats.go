@@ -133,7 +133,7 @@ type Stats struct {
 	// SimWallClockNS is the host wall-clock duration of the Run call in
 	// nanoseconds. Observability only: it is the one Stats field allowed
 	// to differ between otherwise identical runs, so determinism
-	// comparisons (and cmd/statsdigest) must exclude it.
+	// comparisons (and DigestLine) must exclude it.
 	SimWallClockNS int64
 }
 
@@ -270,8 +270,8 @@ func (s *Stats) MeanLowConfExecTime() float64 {
 // observability counters (SimWallClockNS and friends) are deliberately
 // excluded — they are the only Stats fields allowed to differ between
 // runs. Field order is frozen; do not reorder (diffs against recorded
-// digests would churn). Shared by cmd/statsdigest, the committed golden
-// files under testdata/goldens/ and the difftest aggregate digest.
+// digests would churn). Shared by the committed golden files under
+// internal/goldens/testdata/goldens/ and the difftest aggregate digest.
 func (s *Stats) DigestLine() string {
 	return fmt.Sprintf("cyc=%d inst=%d uops=%d loads=%v loadt=%v lat=%v "+
 		"lowconf=%d/%d/%v mpred=%d/%v reexec=%d stall=%d sbstall=%d "+

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dmdp/internal/memdep"
 	"dmdp/internal/warm"
 )
 
@@ -15,12 +16,17 @@ import (
 // is fully validated into a standalone warm.State first, and only then
 // transplanted, so a bad snapshot returns an error and leaves the core
 // exactly as cold as New built it — the caller degrades to a cold start,
-// never to divergent state. Statistics counters are untouched.
+// never to divergent state. Statistics counters are untouched. Only the
+// two-table SDP has warm state; a TAGE-predictor core rejects it.
 func (c *Core) InstallWarmState(snap []byte) error {
+	sdp, ok := c.sdp.(*memdep.SDP)
+	if !ok {
+		return fmt.Errorf("core: warm state rejected: the TAGE distance predictor is not warmed")
+	}
 	ws, err := warm.FromSnapshot(warm.ConfigFrom(c.cfg), snap)
 	if err != nil {
 		return fmt.Errorf("core: warm state rejected: %w", err)
 	}
-	ws.InstallInto(c.hier, c.tlb, c.bp, c.sdp, c.tssbf)
+	ws.InstallInto(c.hier, c.tlb, c.bp, sdp, c.tssbf)
 	return nil
 }

@@ -28,7 +28,8 @@ type Request struct {
 	// modelled during the profiling pass and installed before each
 	// interval's detailed simulation. Ignored (forced off) under fault
 	// injection, like fast-forward: a corrupted run must execute every
-	// instruction of every model the same way.
+	// instruction of every model the same way. Execute rejects it for a
+	// TAGE-predictor configuration, whose predictor has no warm model.
 	Warm bool
 }
 
@@ -95,6 +96,9 @@ func Execute(ctx context.Context, cfg config.Config, req Request) (*Outcome, err
 	}
 	if req.Prog == nil {
 		return nil, fmt.Errorf("sampling: request has no program")
+	}
+	if req.Warm && cfg.UseTAGE {
+		return nil, fmt.Errorf("sampling: functional warming does not model the TAGE distance predictor; run it without warming")
 	}
 	// Checkpoint spacing is budget-derived for systematic specs too, not
 	// Spec.Len: tying it to the interval length made `-sample 1x1000` at a

@@ -294,3 +294,20 @@ func TestWarmDisabledUnderFaults(t *testing.T) {
 		t.Fatalf("warming ran under fault injection: %+v", out)
 	}
 }
+
+// TestWarmRejectsTAGE: functional warming models only the two-table
+// SDP, so a warmed run of a TAGE-predictor configuration is an error,
+// not a run whose predictor silently starts cold. The same run without
+// warming is accepted.
+func TestWarmRejectsTAGE(t *testing.T) {
+	cfg := config.Default(config.DMDP).WithTAGE(true)
+	req := execRequest(t, "gcc", 30_000)
+	req.Spec, req.Warm = Spec{Count: 2, Len: 1_000}, true
+	if _, err := Execute(context.Background(), cfg, req); err == nil || !strings.Contains(err.Error(), "TAGE") {
+		t.Fatalf("warmed TAGE run: got error %v, want a TAGE rejection", err)
+	}
+	req.Warm = false
+	if _, err := Execute(context.Background(), cfg, req); err != nil {
+		t.Fatalf("unwarmed TAGE run rejected: %v", err)
+	}
+}

@@ -8,11 +8,17 @@
 // L2-saturation regime change on streaming workloads — are invisible to
 // the sample (the PR 7 cold-start artifact).
 //
-// The models are the real substrate implementations driven through
-// functional entry points (tag-only state, no timing results), so the
-// warmed state is installable by construction. The hot loop performs no
-// allocation; see warm_bench_test.go for the throughput benchmark and
-// the AllocsPerRun guard.
+// The models are the real substrate implementations, and warming
+// changes their state by the detailed core's own rules: every memory
+// access runs cache.Walk, the tag walk inside cache.Hierarchy.Access,
+// and every load trains the store distance predictor through
+// memdep.TrainLoad, the rule the core applies at retire. Only the
+// verdict a load is trained on is warming's own. The warmed state is
+// therefore installable by construction. Only the two-table SDP is
+// warmed: sampling.Execute rejects warming for a TAGE-predictor
+// configuration. The hot loop performs no allocation; see
+// warm_bench_test.go for the throughput benchmark and the AllocsPerRun
+// guard.
 //
 // Determinism: snapshots are canonical byte encodings (LRU structures
 // are rank-normalized — only the relative recency order survives, which
@@ -37,7 +43,7 @@ import (
 // Version is the warm snapshot format/algorithm version; it joins the
 // artifact key so format or policy changes invalidate stored warm state
 // wholesale instead of decoding garbage.
-const Version = 1
+const Version = 2
 
 // Config is the warm-relevant subset of the machine configuration: the
 // geometries and training policies that shape tag state. It is
@@ -52,10 +58,6 @@ type Config struct {
 	SDP       memdep.SDPConfig
 	// MaxDist bounds trainable store distances (config.MaxDist()).
 	MaxDist int64
-	// UseTAGE disables SDP warming: the TAGE-like predictor has no warm
-	// codec, so those configurations get partial warming (caches, TLB,
-	// branch predictor and T-SSBF only).
-	UseTAGE bool
 }
 
 // ConfigFrom extracts the warm-relevant parameters of a machine
@@ -68,7 +70,6 @@ func ConfigFrom(c config.Config) Config {
 		TSSBF:     c.TSSBF,
 		SDP:       c.SDP,
 		MaxDist:   c.MaxDist(),
-		UseTAGE:   c.UseTAGE,
 	}
 }
 
@@ -82,7 +83,7 @@ func (c Config) ParamsHash() [sha256.Size]byte {
 	// else in Config shapes the snapshot.
 	fmt.Fprintf(h, "l1:%#v\x00l2:%#v\x00pf:%t\x00", c.Hierarchy.L1D, c.Hierarchy.L2, c.Hierarchy.NextLinePrefetch)
 	fmt.Fprintf(h, "tlb:%#v\x00bp:%#v\x00tssbf:%#v\x00sdp:%#v\x00", c.TLB, c.BPred, c.TSSBF, c.SDP)
-	fmt.Fprintf(h, "maxdist:%d\x00tage:%t\x00", c.MaxDist, c.UseTAGE)
+	fmt.Fprintf(h, "maxdist:%d\x00", c.MaxDist)
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
@@ -98,7 +99,7 @@ type State struct {
 	L2    *cache.Cache
 	TLB   *tlb.TLB
 	BP    *bpred.Predictor
-	SDP   *memdep.SDP // nil when cfg.UseTAGE
+	SDP   *memdep.SDP
 	TSSBF *memdep.TSSBF
 
 	// Stores is the absolute SSN of the most recent store processed
@@ -115,27 +116,22 @@ type State struct {
 	lastVPNOK bool
 
 	pageBytes uint32
-	lineBytes uint32
 	prefetch  bool
 }
 
 // New builds an empty (cold) warm state for the configuration.
 func New(cfg Config) *State {
-	s := &State{
+	return &State{
 		cfg:       cfg,
 		L1:        cache.NewCache(cfg.Hierarchy.L1D),
 		L2:        cache.NewCache(cfg.Hierarchy.L2),
 		TLB:       tlb.New(cfg.TLB),
 		BP:        bpred.New(cfg.BPred),
+		SDP:       memdep.NewSDP(cfg.SDP),
 		TSSBF:     memdep.NewTSSBF(cfg.TSSBF),
 		pageBytes: cfg.TLB.PageBytes,
-		lineBytes: uint32(cfg.Hierarchy.L1D.LineBytes),
 		prefetch:  cfg.Hierarchy.NextLinePrefetch,
 	}
-	if !cfg.UseTAGE {
-		s.SDP = memdep.NewSDP(cfg.SDP)
-	}
-	return s
 }
 
 // Update advances the warm state by one trace entry. It uses only the
@@ -147,18 +143,17 @@ func New(cfg Config) *State {
 // Per entry, in the detailed core's trace order:
 //   - control ops train the branch predictor (fetch trains in trace
 //     order, exactly like this);
-//   - memory ops translate (AGI TLB access) and touch the cache
-//     hierarchy with the demand-miss/writeback/prefetch tag behaviour
-//     of cache.Hierarchy.Access, MSHR merges included (a merged access
-//     hits the pre-filled L1 tag and skips L2 on both paths);
+//   - memory ops translate (AGI TLB access) and run cache.Walk, the
+//     tag walk of cache.Hierarchy.Access;
 //   - loads probe the SDP (the rename-stage lookup, an LRU touch) and
-//     train it against the T-SSBF answer — the same ground truth the
-//     detailed core trains from at retire;
+//     train it through memdep.TrainLoad on warming's verdict (see
+//     verdict);
 //   - stores bump the SSN and insert into the T-SSBF (retire order).
 //
 // This is functional warming: accesses happen in trace order rather
-// than the out-of-order schedule, and prefetch MSHR occupancy cannot be
-// modelled — the standard SMARTS approximations, documented in
+// than the out-of-order schedule, and no MSHRs are modelled, so an
+// access to a line in flight does not merge and no prefetch is dropped
+// for MSHR occupancy — the standard SMARTS approximations, documented in
 // DESIGN.md §13.
 func (s *State) Update(e *trace.Entry) {
 	s.Entries++
@@ -168,13 +163,13 @@ func (s *State) Update(e *trace.Entry) {
 		s.BP.PredictAndTrain(e.PC, op, e.Taken, e.Target)
 	case op.IsLoad():
 		s.translate(e.Addr)
-		s.access(e.Addr, false)
-		if s.SDP != nil {
-			s.trainLoad(e)
-		}
+		cache.Walk(s.L1, s.L2, e.Addr, false, s.prefetch)
+		hist := s.BP.History()
+		pred, hit := s.SDP.Predict(e.PC, hist)
+		memdep.TrainLoad(s.SDP, e.PC, hist, s.verdict(e, pred, hit))
 	case op.IsStore():
 		s.translate(e.Addr)
-		s.access(e.Addr, true)
+		cache.Walk(s.L1, s.L2, e.Addr, true, s.prefetch)
 		s.Stores++
 		s.TSSBF.Insert(e.WordAddr(), e.BAB(), s.Stores)
 	}
@@ -197,87 +192,35 @@ func (s *State) translate(addr uint32) {
 	s.lastVPN, s.lastVPNOK = vpn, true
 }
 
-// access mirrors the tag-state effects of cache.Hierarchy.Access: L1
-// demand access; a dirty L1 eviction writes back into L2 before the L2
-// demand access; an L1 miss probes and fills L2; L2 victims go to DRAM,
-// which holds no tags. A line with an outstanding MSHR behaves
-// identically here: its L1 tag was filled at first access, so the
-// merged access hits L1 and skips L2 on both the timed and warm paths.
-func (s *State) access(addr uint32, write bool) {
-	hit, wbAddr, wb := s.L1.WarmAccess(addr, write)
-	if wb {
-		s.L2.WarmAccess(wbAddr, true)
-	}
-	if hit {
-		return
-	}
-	s.L2.WarmAccess(addr, false)
-	if s.prefetch {
-		s.prefetchLine(s.L1.LineAddr(addr) + s.lineBytes)
-	}
-}
-
-// prefetchLine mirrors Hierarchy.prefetchLine's tag behaviour: on an L1
-// demand miss the next line is probed and, if absent, filled through L2
-// into L1. MSHR occupancy (which can suppress a timed prefetch) is
-// timing state and is not modelled.
-func (s *State) prefetchLine(lineAddr uint32) {
-	if s.L1.Lookup(lineAddr) {
-		return
-	}
-	s.L2.WarmAccess(lineAddr, false)
-	if _, wbAddr, wb := s.L1.WarmAccess(lineAddr, false); wb {
-		s.L2.WarmAccess(wbAddr, true)
-	}
-}
-
-// trainLoad performs the rename-stage SDP lookup and the retire-stage
-// training for one load, mirroring the detailed core's gated policy
-// (lsu.go renameLoadSQFree + trainNoReexec/trainAfterReexec). The core
-// only trains in two situations: a load that *used* a prediction
-// (trained toward the colliding distance on a T-SSBF match, decayed
-// toward the used distance when nothing collided), and a re-executed
-// load whose collision was discovered at verify (trained toward the
-// true distance). Training every in-window T-SSBF match instead — the
-// obvious functional shortcut — over-populates the predictor with
-// confident far dependencies the real machine never observes and
-// skews the delay-heavy models (NoSQ) by double digits.
-func (s *State) trainLoad(e *trace.Entry) {
-	hist := s.BP.History()
-	pred, hit := s.SDP.Predict(e.PC, hist)
+// verdict judges a load the way warming can without timing: the T-SSBF
+// names the youngest earlier store to its word, and that store collided
+// when its distance is within the predictor's range. A prediction is
+// used whenever a store that old exists (the core also needs it still
+// in flight), and correct when it names the colliding store. An
+// unpredicted collision is caught at verify and re-executes.
+func (s *State) verdict(e *trace.Entry, pred memdep.Prediction, hit bool) memdep.Verdict {
 	ssn, tagMatch, _ := s.TSSBF.LookupCovering(e.WordAddr(), e.BAB())
 	actual := s.Stores - ssn
-	inWin := tagMatch && actual >= 0 && actual <= s.cfg.MaxDist
-	if hit {
-		if s.Stores-pred.Dist < 1 {
-			// No store that old exists yet; the core never arms the
-			// bypass and leaves the table untouched.
-			return
-		}
-		switch {
-		case inWin && actual == pred.Dist:
-			s.SDP.TrainCorrect(e.PC, hist, actual)
-		case inWin:
-			s.SDP.TrainWrong(e.PC, hist, actual)
-		default:
-			// Used prediction, no collision: decay toward the used
-			// distance so stale entries lose confidence.
-			s.SDP.TrainWrong(e.PC, hist, pred.Dist)
-		}
-		return
+	collided := tagMatch && actual >= 0 && actual <= s.cfg.MaxDist
+	switch {
+	case !hit:
+		return memdep.Verdict{Collided: collided, ActualDist: actual, Reexecuted: collided}
+	case s.Stores-pred.Dist < 1:
+		// No store that old exists yet: the core never arms the bypass.
+		return memdep.Verdict{}
 	}
-	if inWin {
-		// Re-execution bootstrap: an unpredicted collision is caught at
-		// verify and trains toward the true distance.
-		s.SDP.TrainWrong(e.PC, hist, actual)
+	return memdep.Verdict{
+		Used: true, UsedDist: pred.Dist,
+		Correct:  collided && actual == pred.Dist,
+		Collided: collided, ActualDist: actual,
 	}
 }
 
-// Snapshot serialization: a magic/version header, the store count, an
-// SDP presence flag, then one length-prefixed section per substrate.
+// Snapshot serialization: a magic/version header, the store count, then
+// one length-prefixed section per substrate.
 var snapMagic = [8]byte{'D', 'M', 'D', 'P', 'W', 'R', 'M', '1'}
 
-const snapHeader = 8 + 8 + 1
+const snapHeader = 8 + 8
 
 // Snapshot encodes the complete warm state canonically. Two states that
 // would behave identically from here on encode to identical bytes (LRU
@@ -286,25 +229,15 @@ const snapHeader = 8 + 8 + 1
 // pass over a built trace, and store round trips.
 func (s *State) Snapshot() []byte {
 	size := snapHeader + 4 + s.L1.WarmStateLen() + 4 + s.L2.WarmStateLen() +
-		4 + s.TLB.WarmStateLen() + 4 + s.BP.WarmStateLen() + 4 + s.TSSBF.WarmStateLen()
-	if s.SDP != nil {
-		size += 4 + s.SDP.WarmStateLen()
-	}
+		4 + s.TLB.WarmStateLen() + 4 + s.BP.WarmStateLen() + 4 + s.SDP.WarmStateLen() + 4 + s.TSSBF.WarmStateLen()
 	buf := make([]byte, 0, size)
 	buf = append(buf, snapMagic[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Stores))
-	hasSDP := byte(0)
-	if s.SDP != nil {
-		hasSDP = 1
-	}
-	buf = append(buf, hasSDP)
 	buf = appendSection(buf, s.L1.AppendWarmState)
 	buf = appendSection(buf, s.L2.AppendWarmState)
 	buf = appendSection(buf, s.TLB.AppendWarmState)
 	buf = appendSection(buf, s.BP.AppendWarmState)
-	if s.SDP != nil {
-		buf = appendSection(buf, s.SDP.AppendWarmState)
-	}
+	buf = appendSection(buf, s.SDP.AppendWarmState)
 	buf = appendSection(buf, s.TSSBF.AppendWarmState)
 	return buf
 }
@@ -350,10 +283,6 @@ func FromSnapshot(cfg Config, snap []byte) (*State, error) {
 	if s.Stores < 0 {
 		return nil, fmt.Errorf("warm: negative store count")
 	}
-	hasSDP := snap[16] == 1
-	if hasSDP == (s.SDP == nil) {
-		return nil, fmt.Errorf("warm: snapshot SDP presence %t does not match configuration", hasSDP)
-	}
 	off := snapHeader
 	var err error
 	if off, err = s.loadSection(snap, off, s.L1.LoadWarmState); err != nil {
@@ -368,10 +297,8 @@ func FromSnapshot(cfg Config, snap []byte) (*State, error) {
 	if off, err = s.loadSection(snap, off, s.BP.LoadWarmState); err != nil {
 		return nil, err
 	}
-	if s.SDP != nil {
-		if off, err = s.loadSection(snap, off, s.SDP.LoadWarmState); err != nil {
-			return nil, err
-		}
+	if off, err = s.loadSection(snap, off, s.SDP.LoadWarmState); err != nil {
+		return nil, err
 	}
 	if off, err = s.loadSection(snap, off, s.TSSBF.LoadWarmState); err != nil {
 		return nil, err
@@ -386,16 +313,12 @@ func FromSnapshot(cfg Config, snap []byte) (*State, error) {
 // substrates. Substrate statistics counters are untouched (they keep
 // their whole-run semantics); the T-SSBF SSNs are rebased so the
 // pre-interval stores appear older than anything the interval renames
-// (see TSSBF.CopyWarmRebased). A TAGE distance predictor is left cold.
-func (s *State) InstallInto(h *cache.Hierarchy, t *tlb.TLB, bp *bpred.Predictor, sdp memdep.DistancePredictor, tssbf *memdep.TSSBF) {
+// (see TSSBF.CopyWarmRebased).
+func (s *State) InstallInto(h *cache.Hierarchy, t *tlb.TLB, bp *bpred.Predictor, sdp *memdep.SDP, tssbf *memdep.TSSBF) {
 	h.L1D.CopyWarmFrom(s.L1)
 	h.L2.CopyWarmFrom(s.L2)
 	t.CopyWarmFrom(s.TLB)
 	bp.CopyWarmFrom(s.BP)
-	if s.SDP != nil {
-		if d, ok := sdp.(*memdep.SDP); ok {
-			d.CopyWarmFrom(s.SDP)
-		}
-	}
+	sdp.CopyWarmFrom(s.SDP)
 	tssbf.CopyWarmRebased(s.TSSBF, s.Stores)
 }

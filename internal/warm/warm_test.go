@@ -40,21 +40,18 @@ func warmOver(cfg Config, entries []trace.Entry) *State {
 // bytes: the canonical encoding is a fixed point of serialize-load.
 func TestSnapshotRoundTrip(t *testing.T) {
 	tr := testTrace(t, "gcc", 200_000)
-	for _, tage := range []bool{false, true} {
-		cfg := testConfig()
-		cfg.UseTAGE = tage
-		s := warmOver(cfg, tr.Entries)
-		snap := s.Snapshot()
-		s2, err := FromSnapshot(cfg, snap)
-		if err != nil {
-			t.Fatalf("tage=%t: FromSnapshot: %v", tage, err)
-		}
-		if !bytes.Equal(snap, s2.Snapshot()) {
-			t.Fatalf("tage=%t: snapshot not a serialize-load fixed point", tage)
-		}
-		if s2.Stores != s.Stores {
-			t.Fatalf("tage=%t: stores %d != %d", tage, s2.Stores, s.Stores)
-		}
+	cfg := testConfig()
+	s := warmOver(cfg, tr.Entries)
+	snap := s.Snapshot()
+	s2, err := FromSnapshot(cfg, snap)
+	if err != nil {
+		t.Fatalf("FromSnapshot: %v", err)
+	}
+	if !bytes.Equal(snap, s2.Snapshot()) {
+		t.Fatal("snapshot not a serialize-load fixed point")
+	}
+	if s2.Stores != s.Stores {
+		t.Fatalf("stores %d != %d", s2.Stores, s.Stores)
 	}
 }
 
@@ -106,9 +103,9 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 	other := cfg
-	other.UseTAGE = true
+	other.SDP.Sets *= 2
 	if _, err := FromSnapshot(other, snap); err == nil {
-		t.Fatal("SDP snapshot accepted by TAGE configuration")
+		t.Fatal("snapshot accepted by a configuration with twice the SDP sets")
 	}
 	// Set-count corruption inside a section must be caught by the
 	// substrate validators without panicking.
@@ -253,27 +250,6 @@ func TestInstallInto(t *testing.T) {
 	}
 }
 
-// A TAGE configuration leaves the distance predictor cold but installs
-// everything else.
-func TestInstallIntoTAGE(t *testing.T) {
-	tr := testTrace(t, "gcc", 50_000)
-	full := config.Default(config.DMDP)
-	full.UseTAGE = true
-	cfg := ConfigFrom(full)
-	s := warmOver(cfg, tr.Entries)
-	if s.SDP != nil {
-		t.Fatal("TAGE configuration built an SDP warm model")
-	}
-	h := cache.NewHierarchy(full.Hierarchy)
-	tl := tlb.New(full.TLB)
-	bp := bpred.New(full.BPred)
-	tssbf := memdep.NewTSSBF(full.TSSBF)
-	s.InstallInto(h, tl, bp, memdep.NewTAGESDP(memdep.DefaultTAGEConfig(true)), tssbf)
-	if !bytes.Equal(h.L1D.AppendWarmState(nil), s.L1.AppendWarmState(nil)) {
-		t.Fatal("installed L1 state differs under TAGE")
-	}
-}
-
 func TestParamsHash(t *testing.T) {
 	a := testConfig()
 	b := testConfig()
@@ -290,8 +266,8 @@ func TestParamsHash(t *testing.T) {
 		t.Fatal("L2 geometry change did not change the hash")
 	}
 	d := testConfig()
-	d.UseTAGE = true
+	d.SDP.Biased = !d.SDP.Biased
 	if a.ParamsHash() == d.ParamsHash() {
-		t.Fatal("UseTAGE change did not change the hash")
+		t.Fatal("SDP policy change did not change the hash")
 	}
 }
