@@ -234,8 +234,11 @@ func (h *Hierarchy) Access(now int64, addr uint32, write bool) int64 {
 	for _, m := range h.outstanding {
 		if m.lineAddr == lineAddr {
 			// The line is being filled: merge. Touch the L1 for
-			// replacement/dirty state; it hits the pre-filled tag.
-			h.L1D.access(addr, write, true)
+			// replacement/dirty state. The pre-filled tag may have been
+			// evicted meanwhile, so the refill can push out a dirty
+			// victim, which goes to L2 like any other write-back.
+			h.at = now
+			accessL1(h.L1D, h.L2, addr, write, h)
 			h.MSHRMerges++
 			done := m.readyAt
 			if min := now + h.L1D.cfg.Latency; done < min {

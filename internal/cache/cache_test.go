@@ -114,6 +114,31 @@ func TestMSHRMerge(t *testing.T) {
 	}
 }
 
+// TestMSHRMergeWritesBackVictim: a merged access to a line whose
+// pre-filled L1 tag was evicted refills it, and the dirty victim it
+// pushes out must reach L2.
+func TestMSHRMergeWritesBackVictim(t *testing.T) {
+	cfg := hierCfg()
+	cfg.L1D = Config{SizeBytes: 128, LineBytes: 64, Ways: 1, Latency: 4, MSHRs: 4} // direct-mapped, 2 sets
+	h := NewHierarchy(cfg)
+	a, c := uint32(0x20000), uint32(0x20000+128) // same L1 set
+	// A misses: it is in flight, its tag pre-filled. The store to C
+	// evicts clean A; C is dirty and in flight.
+	h.Access(0, a, false)
+	h.Access(1, c, true)
+	l2Before, wbBefore := h.L2.Accesses, h.L1D.Writebacks
+	h.Access(2, a, false) // merges with A's fill, evicts dirty C
+	if h.MSHRMerges != 1 {
+		t.Fatalf("merges %d, want 1", h.MSHRMerges)
+	}
+	if h.L1D.Writebacks != wbBefore+1 {
+		t.Fatalf("L1 write-backs %d, want %d", h.L1D.Writebacks, wbBefore+1)
+	}
+	if got := h.L2.Accesses - l2Before; got != 1 {
+		t.Fatalf("L2 saw %d accesses during the merge, want 1 (the victim's write-back)", got)
+	}
+}
+
 func TestMSHRStall(t *testing.T) {
 	h := NewHierarchy(hierCfg())
 	h.Access(0, 0x30000, false)

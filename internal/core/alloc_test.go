@@ -58,7 +58,7 @@ func TestCycleLoopDoesNotAllocate(t *testing.T) {
 		if window <= 0 {
 			window = config.DefaultNoRetireWindow
 		}
-		// Warm up: fill the pools, grow the scratch slices and heaps to
+		// Warm up: grow the ROB ring, the scratch slices and heaps to
 		// their steady capacity.
 		for i := 0; i < 30_000 && !c.done; i++ {
 			c.step(window, 0)
@@ -109,7 +109,7 @@ func withPages(tr *trace.Trace, n int) *trace.Trace {
 // construction must not scale with the trace's memory image (Clone is
 // copy-on-write) or with the L2 (each cache level is one flat array).
 func TestNewAllocs(t *testing.T) {
-	const want = 50
+	const want = 38
 	tr := traceOf(t, aluLoop, 10_000)
 	allocs := func(cfg config.Config, tr *trace.Trace) float64 {
 		return testing.AllocsPerRun(20, func() {

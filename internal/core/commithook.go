@@ -54,7 +54,7 @@ func (c *Core) notifyCommit(in *inst) {
 	if c.commitHook == nil || c.simErr != nil {
 		return
 	}
-	e := in.e
+	e := c.entry(in)
 	rec := CommitRecord{
 		Idx:     in.idx,
 		Seq:     in.seq,

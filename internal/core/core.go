@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"dmdp/internal/bpred"
@@ -27,42 +28,117 @@ type fetchEntry struct {
 	hist     uint32 // global branch history as of this instruction's fetch
 }
 
-// robQ is the reorder buffer (FIFO ring of in-flight instructions).
+// robQ is the reorder buffer: a FIFO ring of instruction slots. An
+// instruction lives in its slot from rename to retire (or squash); the
+// slot's state is zeroed when the next instruction takes it. Renamed
+// instructions get consecutive seqs and a flush empties the ring, so the
+// ring holds a run of consecutive seqs and an in-flight instruction is
+// found by its seq (bySeq).
+//
+// A core takes its ring at its first rename, and a run hands the ring
+// back when it returns (release) for the next core to take from robPool,
+// so a sweep of thousands of short runs (verify's litmus and difftest
+// programs) reuses a few rings instead of allocating ~150 KB per core.
 type robQ struct {
-	buf  []*inst
-	head int
-	size int
+	slots    []inst // nil until the first push and after release
+	capacity int
+	head     int
+	size     int
 }
 
-func newRobQ(capacity int) *robQ { return &robQ{buf: make([]*inst, capacity)} }
+// robPool holds the rings of finished runs. A reused ring needs no
+// clearing: push zeroes a slot's state as rename takes it, and newUop
+// rewrites each uop whole.
+var robPool sync.Pool // of *[]inst
 
-func (q *robQ) full() bool   { return q.size == len(q.buf) }
+func newRobQ(capacity int) *robQ { return &robQ{capacity: capacity} }
+
+// take gives the queue its ring: a pooled one of its size, or a new one.
+func (q *robQ) take() {
+	if p, ok := robPool.Get().(*[]inst); ok && len(*p) == q.capacity {
+		q.slots = *p
+		return
+	}
+	q.slots = make([]inst, q.capacity)
+	for i := range q.slots {
+		q.slots[i].base = uopRef(i << 3)
+	}
+}
+
+// release empties the queue and hands its ring to robPool; it is called
+// when a run returns.
+func (q *robQ) release() {
+	if q.slots != nil {
+		s := q.slots
+		robPool.Put(&s)
+	}
+	q.slots, q.head, q.size = nil, 0, 0
+}
+
+// uop returns the uop r names.
+func (q *robQ) uop(r uopRef) *uop { return &q.slots[r>>3].uops[r&7-1] }
+
+// entry returns the trace entry in executes.
+func (c *Core) entry(in *inst) *trace.Entry { return &c.tr.Entries[in.idx] }
+
+// instOf returns the instruction u belongs to.
+func (q *robQ) instOf(u *uop) *inst { return &q.slots[u.ref>>3] }
+
+func (q *robQ) full() bool   { return q.size == q.capacity }
 func (q *robQ) empty() bool  { return q.size == 0 }
 func (q *robQ) len() int     { return q.size }
-func (q *robQ) front() *inst { return q.buf[q.head] }
+func (q *robQ) front() *inst { return &q.slots[q.head] }
 
-func (q *robQ) push(in *inst) {
-	q.buf[(q.head+q.size)%len(q.buf)] = in
+// push takes the slot after the youngest instruction, zeroed, and returns
+// it. The caller must check full first.
+func (q *robQ) push() *inst {
+	if q.slots == nil {
+		q.take()
+	}
+	i := q.head + q.size
+	if i >= len(q.slots) {
+		i -= len(q.slots)
+	}
 	q.size++
+	in := &q.slots[i]
+	in.instState = instState{}
+	return in
 }
 
+// popFront releases the oldest slot and returns it; its contents stay
+// readable until the slot is pushed again.
 func (q *robQ) popFront() *inst {
-	in := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
+	in := &q.slots[q.head]
+	if q.head++; q.head == len(q.slots) {
+		q.head = 0
+	}
 	q.size--
 	return in
 }
 
 // at returns the i-th oldest instruction.
-func (q *robQ) at(i int) *inst { return q.buf[(q.head+i)%len(q.buf)] }
-
-func (q *robQ) clear() {
-	for i := 0; i < q.size; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = nil
+func (q *robQ) at(i int) *inst {
+	i += q.head
+	if i >= len(q.slots) {
+		i -= len(q.slots)
 	}
-	q.head, q.size = 0, 0
+	return &q.slots[i]
 }
+
+// bySeq returns the in-flight instruction with dynamic number seq, or nil
+// (retired, squashed or not yet renamed).
+func (q *robQ) bySeq(seq int64) *inst {
+	if q.size == 0 {
+		return nil
+	}
+	d := seq - q.slots[q.head].seq
+	if d < 0 || d >= int64(q.size) {
+		return nil
+	}
+	return q.at(int(d))
+}
+
+func (q *robQ) clear() { q.head, q.size = 0, 0 }
 
 // Core is one timing simulation of a trace under a configuration.
 type Core struct {
@@ -87,27 +163,19 @@ type Core struct {
 	rob     *robQ
 	iqCount int
 	ready   readyHeap
-	events  eventHeap
-	delayed []*uop // gateSSNCommit uops parked until SSN.Commit advances
+	events  eventWheel
+	delayed []uopRef // gateSSNCommit uops parked until SSN.Commit advances
 
 	fq            []fetchEntry // ring of fqCap entries
 	fqHead, fqLen int
 	fetchIdx      int
 	fetchStalled  bool  // mispredicted control op in flight
 	fetchBlockIdx int   // trace idx of the blocking op
-	blockInst     *inst // resolved once renamed
+	blockSeq      int64 // seq of the blocking op once renamed (0 = none)
 	fetchResumeAt int64
 
 	sb  *storeBuffer
 	srb *storeRegBuffer
-
-	// instBySeq holds in-flight stores keyed by seq&instSeqMask (store
-	// sets). The ring's capacity exceeds the ROB size and in-flight seqs
-	// are consecutive, so two live instructions never share a slot;
-	// lookups validate the resident's seq (retired entries go stale in
-	// place instead of being deleted).
-	instBySeq   []*inst
-	instSeqMask int64
 
 	seqCounter     int64
 	uopSeq         int64
@@ -163,14 +231,9 @@ type Core struct {
 	lsnRetire  int64
 	pendingFwd *fwdRing
 
-	// Free lists and per-cycle scratch: the steady-state cycle loop must
-	// not allocate (see the allocation-regression guard in core tests).
-	// Retired instructions and their uops are recycled here; squashed ones
-	// are abandoned to the GC (flushes are rare, and recycling them would
-	// require proving no stale reference survives the squash).
-	instPool  []*inst
-	uopPool   []*uop
-	stash     []*uop    // issue(): uops popped but not issuable this cycle
+	// Per-cycle scratch: the steady-state cycle loop must not allocate
+	// (see the allocation-regression guard in core tests).
+	stash     []uopRef  // issue(): uops popped but not issuable this cycle
 	srcRegBuf []isa.Reg // srcPhys(): logical source scratch
 	srcBuf    []int     // srcPhys(): physical source scratch
 	sbRefBuf  []int     // flush(): surviving store-buffer register refs
@@ -219,9 +282,6 @@ func newCore(cfg config.Config, tr *trace.Trace, hier *cache.Hierarchy) *Core {
 		srcRegBuf: make([]isa.Reg, 0, 3),
 		srcBuf:    make([]int, 0, 3),
 	}
-	n := nextPow2(cfg.ROBSize + 1)
-	c.instBySeq = make([]*inst, n)
-	c.instSeqMask = int64(n - 1)
 	if cfg.Model == config.FnF {
 		c.sft = memdep.NewSFT(memdep.DefaultFnFConfig())
 		c.pendingFwd = newFwdRing(cfg.ROBSize + int(cfg.MaxDist()) + 2)
@@ -229,6 +289,7 @@ func newCore(cfg config.Config, tr *trace.Trace, hier *cache.Hierarchy) *Core {
 	if cfg.Faults.Enabled() {
 		c.inj = faults.NewInjector(cfg.Faults)
 	}
+	c.events.rob = c.rob
 	c.trackInval = cfg.InvalidationInterval > 0 || (c.inj != nil && c.inj.WantsInvalidations())
 	c.ffEnabled = !cfg.DisableFastForward && c.inj == nil
 	return c
@@ -255,6 +316,7 @@ func (c *Core) RunContext(ctx context.Context) (*Stats, error) {
 	if len(c.tr.Entries) == 0 {
 		return &c.stats, nil
 	}
+	defer c.rob.release() // nothing reads the ROB once the run returns
 	start := time.Now()
 	window := c.cfg.Watchdog.NoRetireWindow
 	if window <= 0 {
@@ -403,24 +465,6 @@ func (c *Core) fastForward(window, maxCycles int64) {
 	c.now = deadline - 1
 }
 
-// instBySeqGet returns the in-flight store with dynamic number seq, or
-// nil (retired, squashed, or overwritten by a younger store).
-func (c *Core) instBySeqGet(seq int64) *inst {
-	if in := c.instBySeq[seq&c.instSeqMask]; in != nil && in.seq == seq {
-		return in
-	}
-	return nil
-}
-
-// nextPow2 returns the smallest power of two >= n.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // CheckInvariants validates internal consistency (used by tests).
 func (c *Core) CheckInvariants() error { return c.rf.checkInvariants() }
 
@@ -521,7 +565,6 @@ func (c *Core) commitStores() {
 					}
 					n.issued = true
 					n.doneAt = done
-					n.coalescedWith = i
 					c.stats.StoresCoalesced++
 				}
 			}
@@ -593,16 +636,16 @@ func (c *Core) finishCommit(i int) {
 // wakeDelayed re-activates parked uops whose SSNcommit gate opened.
 func (c *Core) wakeDelayed() {
 	kept := c.delayed[:0]
-	for _, u := range c.delayed {
-		switch {
-		case u.squashed:
-		case c.ssn.Commit >= u.gateSSN:
+	for _, r := range c.delayed {
+		if u := c.rob.uop(r); c.ssn.Commit >= u.gateArg {
 			c.ready.push(u)
-		default:
-			kept = append(kept, u)
+		} else {
+			kept = append(kept, r)
 		}
 	}
-	c.delayed = kept
+	if len(kept) != len(c.delayed) {
+		c.delayed = kept
+	}
 }
 
 // ---------- events / writeback ----------
@@ -624,10 +667,9 @@ func (c *Core) writeback(p int) {
 		return
 	}
 	c.stats.RegWrites++
-	for _, w := range c.rf.setReady(p, c.now) {
-		if w.squashed {
-			continue
-		}
+	for n := c.rf.setReady(p, c.now); n != 0; {
+		w := c.rob.uop(uopRef(n >> 1))
+		n = w.wnext[n&1]
 		w.waitCnt--
 		c.stats.IQWakeups++
 		if w.waitCnt == 0 {
@@ -636,37 +678,52 @@ func (c *Core) writeback(p int) {
 	}
 }
 
+// await registers wait k (0 or 1) of u on register p, at the tail of
+// p's waiter list; it returns false when p is already ready (no wait
+// needed). A wait link is free again once p's writeback has walked it.
+func (c *Core) await(p int, u *uop, k int) bool {
+	r := &c.rf.regs[p]
+	if r.ready {
+		return false
+	}
+	n := waitRef(u.ref)<<1 | waitRef(k)
+	u.wnext[k] = 0
+	if t := r.wtail; t != 0 {
+		c.rob.uop(uopRef(t >> 1)).wnext[t&1] = n
+	} else {
+		r.whead = n
+	}
+	r.wtail = n
+	return true
+}
+
 // dispatchReady routes a uop whose operands are all ready: through its
 // gate (delayed-load structure, store-set wait) or into the ready queue;
 // zero-cost bookkeeping uops (cloak trackers) complete immediately.
 func (c *Core) dispatchReady(u *uop) {
-	if u.squashed {
-		return
-	}
 	if u.kind == uopCloakTrack {
 		c.completeUop(u)
 		return
 	}
 	switch u.gate {
 	case gateSSNCommit:
-		if c.ssn.Commit >= u.gateSSN {
+		if c.ssn.Commit >= u.gateArg {
 			c.ready.push(u)
 			return
 		}
 		// Parked loads leave the IQ for the (unlimited) delayed-load
 		// structure (paper §V: NoSQ's delayed-load storage).
-		u.parked = true
 		c.leaveIQ(u)
-		c.delayed = append(c.delayed, u)
+		c.delayed = append(c.delayed, u.ref)
 	case gateStoreExec:
-		// gateSeq mismatch: the gating store retired (its inst was
-		// recycled) — a retired store has long resolved its address.
-		if u.gateInst == nil || u.gateInst.seq != u.gateSeq ||
-			u.gateInst.squashed || u.gateInst.addrReady {
+		// A gating store no longer in flight has retired, and long
+		// resolved its address.
+		st := c.rob.bySeq(u.gateArg)
+		if st == nil || st.addrReady {
 			c.ready.push(u)
 			return
 		}
-		u.gateInst.execWaiters = append(u.gateInst.execWaiters, u)
+		u.execNext, st.execHead = st.execHead, u.ref
 	default:
 		c.ready.push(u)
 	}
@@ -674,34 +731,33 @@ func (c *Core) dispatchReady(u *uop) {
 
 // completeUop handles a finished micro-operation.
 func (c *Core) completeUop(u *uop) {
-	if u.squashed || u.done {
+	if u.done {
 		return
 	}
 	u.done = true
-	u.doneAt = c.now
-	in := u.inst
+	in := c.rob.instOf(u)
 
 	switch u.kind {
 	case uopALU:
-		c.writeback(u.dst)
+		c.writeback(int(u.dst))
 	case uopBranch:
-		c.writeback(u.dst)
-		if c.fetchStalled && c.blockInst == in {
+		c.writeback(int(u.dst))
+		if c.fetchStalled && c.blockSeq == in.seq {
 			c.fetchStalled = false
-			c.blockInst = nil
+			c.blockSeq = 0
 			c.fetchResumeAt = c.now + c.cfg.RedirectPenalty
 		}
 	case uopAGI:
 		in.addrReady = true
-		c.writeback(u.dst)
+		c.writeback(int(u.dst))
 		if in.isStore() {
-			c.sets.StoreExecuted(in.e.PC, in.seq)
-			for _, w := range in.execWaiters {
-				if !w.squashed {
-					c.ready.push(w)
-				}
+			c.sets.StoreExecuted(c.entry(in).PC, in.seq)
+			for r := in.execHead; r != 0; {
+				w := c.rob.uop(r)
+				r = w.execNext
+				c.ready.push(w)
 			}
-			in.execWaiters = in.execWaiters[:0]
+			in.execHead = 0
 			if c.cfg.Model == config.Baseline {
 				c.checkViolations(in)
 			}
@@ -731,24 +787,21 @@ func (c *Core) issue() {
 	loadPorts := 0
 	stash := c.stash[:0]
 	for issued < c.cfg.IssueWidth && c.ready.Len() > 0 {
-		u := c.ready.pop()
-		if u.squashed {
-			continue
-		}
+		u := c.rob.uop(c.ready.pop())
 		if u.kind == uopLoad && loadPorts >= c.cfg.LoadPorts {
-			stash = append(stash, u)
+			stash = append(stash, u.ref)
 			continue
 		}
 		if u.kind == uopALU {
 			switch u.class {
 			case isa.ClassDiv:
 				if c.divBusyUntil > c.now {
-					stash = append(stash, u)
+					stash = append(stash, u.ref)
 					continue
 				}
 			case isa.ClassFPDiv:
 				if c.fpDivBusyUntil > c.now {
-					stash = append(stash, u)
+					stash = append(stash, u.ref)
 					continue
 				}
 			}
@@ -762,10 +815,12 @@ func (c *Core) issue() {
 			continue
 		}
 	}
-	for _, u := range stash {
-		c.ready.push(u)
+	for _, r := range stash {
+		c.ready.push(c.rob.uop(r))
 	}
-	c.stash = stash
+	if cap(stash) != cap(c.stash) {
+		c.stash = stash // grown: keep the larger scratch
+	}
 }
 
 // leaveIQ releases u's issue queue slot (idempotent).
@@ -780,16 +835,15 @@ func (c *Core) leaveIQ(u *uop) {
 // (baseline loads discovering an unready forwarder).
 func (c *Core) issueUop(u *uop) bool {
 	c.progress = true
-	in := u.inst
+	in := c.rob.instOf(u)
 	c.leaveIQ(u)
-	u.parked = false
-	c.stats.RegReads += int64(srcCount(u))
+	c.stats.RegReads += int64(u.nSrcs)
 
 	switch u.kind {
 	case uopLoad:
 		return c.issueLoad(u)
 	case uopAGI:
-		lat := c.cfg.AGILat + c.tlb.Translate(in.e.Addr)
+		lat := c.cfg.AGILat + c.tlb.Translate(c.entry(in).Addr)
 		u.issued = true
 		c.events.schedule(c.now+lat, u)
 	case uopALU, uopBranch:
@@ -801,16 +855,6 @@ func (c *Core) issueUop(u *uop) bool {
 		c.events.schedule(c.now+1, u)
 	}
 	return false
-}
-
-func srcCount(u *uop) int {
-	n := 0
-	for _, s := range u.srcs {
-		if s >= 0 {
-			n++
-		}
-	}
-	return n
 }
 
 func (c *Core) latencyFor(u *uop) int64 {
@@ -855,84 +899,34 @@ func (c *Core) rename() {
 		c.fqLen--
 		in := c.renameOne(fe.idx, fe.hist)
 		if fe.blocking {
-			c.blockInst = in
+			c.blockSeq = in.seq
 			// If the blocking op completed already (e.g. a no-uop
 			// jump), unblock immediately.
 			if in.pending == 0 && c.fetchStalled {
 				c.fetchStalled = false
-				c.blockInst = nil
+				c.blockSeq = 0
 				c.fetchResumeAt = c.now + c.cfg.RedirectPenalty
 			}
 		}
 	}
 }
 
-// allocUop takes a zeroed uop from the free list (or the heap).
-func (c *Core) allocUop() *uop {
-	n := len(c.uopPool)
-	if n == 0 {
-		return &uop{}
-	}
-	u := c.uopPool[n-1]
-	c.uopPool[n-1] = nil
-	c.uopPool = c.uopPool[:n-1]
-	return u
-}
-
-// allocInst takes a reset inst from the free list (or the heap).
-func (c *Core) allocInst() *inst {
-	n := len(c.instPool)
-	if n == 0 {
-		return &inst{}
-	}
-	in := c.instPool[n-1]
-	c.instPool[n-1] = nil
-	c.instPool = c.instPool[:n-1]
-	return in
-}
-
-// poolInst resets in and its uops and pushes them onto the free lists.
-// Callers must guarantee no live reference to them survives the call.
-func (c *Core) poolInst(in *inst) {
-	for _, u := range in.uops {
-		*u = uop{}
-		c.uopPool = append(c.uopPool, u)
-	}
-	uops, auxLog, auxPhys := in.uops[:0], in.auxLog[:0], in.auxPhys[:0]
-	ew := in.execWaiters[:0]
-	*in = inst{uops: uops, auxLog: auxLog, auxPhys: auxPhys, execWaiters: ew}
-	c.instPool = append(c.instPool, in)
-}
-
-// recycleInst returns a retired instruction and its uops to the free
-// lists. Safe because a retiring instruction has no pending uops: none of
-// them sit in the event heap, ready queue, delayed-load structure or
-// register waiter lists, and uops gated on a pooled store validate
-// gateSeq against gateInst.seq before trusting the pointer.
-func (c *Core) recycleInst(in *inst) {
-	if in == c.blockInst {
-		return // still referenced by the front end; abandon to the GC
-	}
-	c.poolInst(in)
-}
-
-// newUop allocates a uop, wiring operand wakeup.
+// newUop takes the instruction's next uop, wiring operand wakeup.
 func (c *Core) newUop(in *inst, kind uopKind, class isa.Class, srcs []int, dst int) *uop {
 	c.uopSeq++
-	u := c.allocUop()
-	u.kind = kind
-	u.class = class
-	u.inst = in
-	u.seq = c.uopSeq
-	u.dst = dst
-	u.srcs = [3]int{-1, -1, -1}
-	for i, s := range srcs {
-		u.srcs[i] = s
-		if s >= 0 && c.rf.await(s, u) {
+	u := &in.uops[in.nUops]
+	in.nUops++
+	*u = uop{}
+	u.ref, u.seq, u.dst, u.kind, u.class = in.base|uopRef(in.nUops), c.uopSeq, int32(dst), kind, class
+	for _, s := range srcs {
+		if s < 0 {
+			continue
+		}
+		if c.await(s, u, int(u.nSrcs)) {
 			u.waitCnt++
 		}
+		u.nSrcs++
 	}
-	in.uops = append(in.uops, u)
 	in.pending++
 	if kind != uopCloakTrack {
 		u.counted = true
@@ -957,8 +951,7 @@ func (c *Core) mapDest(in *inst, l isa.Reg) int {
 		in.destLog = int(l)
 		in.destPhys = p
 	} else {
-		in.auxLog = append(in.auxLog, int(l))
-		in.auxPhys = append(in.auxPhys, p)
+		in.addAux(l, p)
 	}
 	return p
 }
@@ -969,18 +962,23 @@ func isHardwareReg(l isa.Reg) bool { return l >= isa.HwAddr }
 func (c *Core) mapAux(in *inst, l isa.Reg) int {
 	p := c.rf.alloc()
 	c.rf.rat[l] = p
-	in.auxLog = append(in.auxLog, int(l))
-	in.auxPhys = append(in.auxPhys, p)
+	in.addAux(l, p)
 	return p
+}
+
+// addAux records an auxiliary logical mapping for retire.
+func (in *inst) addAux(l isa.Reg, p int) {
+	in.auxLog[in.nAux] = l
+	in.auxPhys[in.nAux] = p
+	in.nAux++
 }
 
 func (c *Core) renameOne(idx int, hist uint32) *inst {
 	c.progress = true
 	e := &c.tr.Entries[idx]
 	c.seqCounter++
-	in := c.allocInst()
+	in := c.rob.push()
 	in.idx = idx
-	in.e = e
 	in.seq = c.seqCounter
 	in.renamedAt = c.now
 	in.destLog = -1
@@ -990,6 +988,7 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 	in.histAtRen = hist
 	c.stats.ROBWrites++
 	op := e.Instr.Op
+	in.load, in.store = op.IsLoad(), op.IsStore()
 
 	switch {
 	case op == isa.OpNOP || op == isa.OpHALT || op == isa.OpJ:
@@ -998,9 +997,9 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 		dst := c.mapDest(in, isa.RA)
 		u := c.newUop(in, uopALU, isa.ClassALU, nil, dst)
 		c.finishUopSetup(u)
-	case op.IsLoad():
+	case in.load:
 		c.renameLoad(in)
-	case op.IsStore():
+	case in.store:
 		c.renameStore(in)
 	case op.IsBranch() || op == isa.OpJR || op == isa.OpJALR:
 		srcs := c.srcPhys(e)
@@ -1019,8 +1018,6 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 		u := c.newUop(in, uopALU, op.Class(), srcs, dst)
 		c.finishUopSetup(u)
 	}
-
-	c.rob.push(in)
 	return in
 }
 
@@ -1107,21 +1104,17 @@ func (c *Core) retire() {
 		if in.recoverAfter {
 			// Memory dependence exception: flush everything younger
 			// and refetch after the (now corrected) load.
-			refetch := in.idx + 1
-			c.recycleInst(in)
-			c.flush(refetch)
+			c.flush(in.idx + 1)
 			return
 		}
-		stop := c.done
-		c.recycleInst(in)
-		if stop {
+		if c.done {
 			return
 		}
 	}
 }
 
 func (c *Core) retireStore(in *inst) {
-	e := in.e
+	e := c.entry(in)
 	c.ssn.Retire = in.ssn
 	c.sb.push(sbEntry{
 		ssn:      in.ssn,
@@ -1136,10 +1129,6 @@ func (c *Core) retireStore(in *inst) {
 		c.tssbf.Insert(e.WordAddr(), e.BAB(), in.ssn)
 		c.stats.TSSBFWrites++
 	}
-	c.srb.markRetired(in.ssn)
-	if i := in.seq & c.instSeqMask; c.instBySeq[i] == in {
-		c.instBySeq[i] = nil
-	}
 }
 
 // retireCommon updates architectural rename state, releases registers and
@@ -1151,7 +1140,7 @@ func (c *Core) retireCommon(in *inst) {
 		c.rf.arat[in.destLog] = in.destPhys
 		c.rf.dropProducer(old)
 	}
-	for i, l := range in.auxLog {
+	for i, l := range in.auxLog[:in.nAux] {
 		old := c.rf.arat[l]
 		c.rf.arat[l] = in.auxPhys[i]
 		c.rf.dropProducer(old)
@@ -1173,7 +1162,7 @@ func (c *Core) retireCommon(in *inst) {
 	c.oracleRetireCheck(in)
 	c.checkRefs(in.idx)
 	if c.tracer != nil {
-		c.tracer.onRetire(in, c.now)
+		c.tracer.onRetire(in, c.entry(in), c.now)
 	}
 	if c.cfg.WarmupInstructions > 0 && c.retired == c.cfg.WarmupInstructions {
 		// End of warmup: structures stay warm, counters restart. The
@@ -1188,7 +1177,7 @@ func (c *Core) retireCommon(in *inst) {
 		}
 	} else {
 		c.stats.Instructions++
-		n := int64(len(in.uops))
+		n := int64(in.nUops)
 		if n == 0 {
 			n = 1
 		}
@@ -1200,7 +1189,7 @@ func (c *Core) retireCommon(in *inst) {
 		}
 	}
 
-	if in.e.Instr.Op == isa.OpHALT || c.retired == int64(len(c.tr.Entries)) {
+	if c.entry(in).Instr.Op == isa.OpHALT || c.retired == int64(len(c.tr.Entries)) {
 		c.done = true
 	}
 }
@@ -1219,7 +1208,7 @@ func (c *Core) accountLoad(in *inst) {
 		switch {
 		case !in.actualInFly:
 			c.stats.LowConfOutcomes[LowConfIndepStore]++
-		case in.e.DepStore == in.ssnByp:
+		case c.entry(in).DepStore == in.ssnByp:
 			c.stats.LowConfOutcomes[LowConfCorrect]++
 		default:
 			c.stats.LowConfOutcomes[LowConfDiffStore]++
@@ -1238,34 +1227,30 @@ func (c *Core) flush(refetchIdx int) {
 	c.progress = true
 	// A flush squashes the whole window, so every reference to an
 	// in-flight instruction dies with it: the ready queue, delayed-load
-	// structure, event heap and register waiter lists hold only stale
+	// structure, event wheel and register waiter lists hold only stale
 	// entries afterwards and are cleared below (resetToARAT empties the
-	// waiter lists). That makes it safe to recycle the squashed
-	// instructions and uops instead of abandoning them to the GC.
+	// waiter lists), and the emptied ROB slots are zeroed as rename
+	// reuses them.
 	for i := 0; i < c.rob.len(); i++ {
 		in := c.rob.at(i)
 		if c.tracer != nil {
 			c.tracer.onSquash(in.idx)
 		}
-		for _, u := range in.uops {
-			if !u.done {
+		for k := range in.uops[:in.nUops] {
+			if !in.uops[k].done {
 				c.stats.SquashedUops++
 			}
 		}
-		c.poolInst(in)
 	}
 	c.rob.clear()
 	c.iqCount = 0
-	c.ready = c.ready[:0]
+	c.ready.clear()
 	c.delayed = c.delayed[:0]
-	c.events = c.events[:0]
+	c.events.clear()
 
 	c.ssn.Rename = c.ssn.Retire
 	c.lsnRename = c.lsnRetire
 	c.srb.dropYoungerThan(c.ssn.Retire)
-	for i := range c.instBySeq {
-		c.instBySeq[i] = nil
-	}
 	c.sets.Invalidate(0) // all tracked stores were in flight: clear LFST
 
 	c.sbRefBuf = c.sb.regRefs(c.sbRefBuf[:0])
@@ -1274,6 +1259,6 @@ func (c *Core) flush(refetchIdx int) {
 	c.fqHead, c.fqLen = 0, 0
 	c.fetchIdx = refetchIdx
 	c.fetchStalled = false
-	c.blockInst = nil
+	c.blockSeq = 0
 	c.fetchResumeAt = c.now + c.cfg.RecoveryPenalty
 }

@@ -21,7 +21,7 @@ func TestDiagBench(t *testing.T) {
 			c, _ := New(config.Default(m), tr)
 			pcs := map[uint32]int{}
 			cats := map[uint32]LoadCategory{}
-			c.onDepMispredict = func(in *inst) { pcs[in.e.PC]++; cats[in.e.PC] = in.cat }
+			c.onDepMispredict = func(in *inst) { pc := c.entry(in).PC; pcs[pc]++; cats[pc] = in.cat }
 			if _, err := c.Run(); err != nil {
 				t.Fatal(err)
 			}

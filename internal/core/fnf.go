@@ -59,7 +59,7 @@ func (r *fwdRing) take(lsn int64) (int64, bool) {
 // renameStoreFnF runs after the common store rename work: consult the
 // SFT and register a pending forward.
 func (c *Core) renameStoreFnF(in *inst) {
-	pred, ok := c.sft.Predict(in.e.PC)
+	pred, ok := c.sft.Predict(c.entry(in).PC)
 	c.stats.SDPReads++
 	if !ok || !pred.Confident {
 		return
@@ -72,15 +72,16 @@ func (c *Core) renameStoreFnF(in *inst) {
 // renameLoadFnF claims a pending forward registered for this load's LSN,
 // or reads the cache directly.
 func (c *Core) renameLoadFnF(in *inst) {
+	e := c.entry(in)
 	c.lsnRename++
 	in.lsn = c.lsnRename
-	if in.lsn != in.e.LoadSeq() {
+	if in.lsn != e.LoadSeq() {
 		c.fail(&SimError{
-			Kind: ErrDesync, Idx: in.idx, PC: in.e.PC, Disasm: in.e.Instr.String(),
-			Msg: fmt.Sprintf("LSN desync: renamed load got %d, trace says %d", in.lsn, in.e.LoadSeq()),
+			Kind: ErrDesync, Idx: in.idx, PC: e.PC, Disasm: e.Instr.String(),
+			Msg: fmt.Sprintf("LSN desync: renamed load got %d, trace says %d", in.lsn, e.LoadSeq()),
 		})
 	}
-	d := in.e.Instr.Dest()
+	d := e.Instr.Dest()
 	if ssn, ok := c.pendingFwd.take(in.lsn); ok {
 		if se := c.srb.get(ssn); se != nil && d != isa.NoReg {
 			in.ssnByp = ssn
@@ -100,7 +101,7 @@ func (c *Core) trainFnFAfterReexec(in *inst) {
 	if in.ssnByp > 0 {
 		// The forwarding store picked the wrong consumer.
 		st := &c.tr.Entries[in.predIdx]
-		c.sft.TrainWrong(st.PC, in.e.LoadsBefore-st.LoadsBefore)
+		c.sft.TrainWrong(st.PC, c.entry(in).LoadsBefore-st.LoadsBefore)
 		c.stats.SDPWrites++
 	}
 	c.trainFnFCollider(in)
@@ -117,7 +118,7 @@ func (c *Core) trainFnFCollider(in *inst) {
 		return
 	}
 	st := &c.tr.Entries[idx]
-	dist := in.e.LoadsBefore - st.LoadsBefore
+	dist := c.entry(in).LoadsBefore - st.LoadsBefore
 	if dist < 0 || dist > c.cfg.MaxDist() {
 		return
 	}
@@ -131,7 +132,7 @@ func (c *Core) trainFnFNoReexec(in *inst) {
 		return
 	}
 	st := &c.tr.Entries[in.predIdx]
-	dist := in.e.LoadsBefore - st.LoadsBefore
+	dist := c.entry(in).LoadsBefore - st.LoadsBefore
 	c.stats.SDPWrites++
 	if in.tssbfSSN == in.ssnByp {
 		c.sft.TrainCorrect(st.PC, dist)

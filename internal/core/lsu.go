@@ -19,7 +19,7 @@ import (
 // ---------- rename: stores ----------
 
 func (c *Core) renameStore(in *inst) {
-	e := in.e
+	e := c.entry(in)
 	// The data register is read at commit: extend its lifetime.
 	in.dataPhys = c.rf.rat[e.Instr.Rt]
 	c.rf.addConsumer(in.dataPhys)
@@ -38,8 +38,7 @@ func (c *Core) renameStore(in *inst) {
 			Msg: fmt.Sprintf("SSN desync: renamed store got %d, trace says %d", in.ssn, e.StoreSeq()),
 		})
 	}
-	c.srb.add(srbEntry{ssn: in.ssn, idx: in.idx, dataPhys: in.dataPhys, addrPhys: in.addrPhys, inst: in})
-	c.instBySeq[in.seq&c.instSeqMask] = in
+	c.srb.add(srbEntry{ssn: in.ssn, idx: in.idx, seq: in.seq, dataPhys: in.dataPhys, addrPhys: in.addrPhys})
 
 	switch c.cfg.Model {
 	case config.Baseline:
@@ -47,10 +46,9 @@ func (c *Core) renameStore(in *inst) {
 		// address generation waits for the previous store in its set
 		// (Chrysos & Emer's in-order store-set execution rule).
 		if prevSeq := c.sets.StoreRenamed(e.PC, in.seq); prevSeq != 0 {
-			if prev := c.instBySeqGet(prevSeq); prev != nil && !prev.addrReady {
+			if prev := c.rob.bySeq(prevSeq); prev != nil && !prev.addrReady {
 				agi.gate = gateStoreExec
-				agi.gateInst = prev
-				agi.gateSeq = prev.seq
+				agi.gateArg = prev.seq
 			}
 		}
 	case config.FnF:
@@ -62,7 +60,7 @@ func (c *Core) renameStore(in *inst) {
 // ---------- rename: loads ----------
 
 func (c *Core) renameLoad(in *inst) {
-	e := in.e
+	e := c.entry(in)
 	base := c.rf.rat[e.Instr.Rs]
 	in.addrPhys = c.mapAux(in, isa.HwAddr)
 	agi := c.newUop(in, uopAGI, isa.ClassALU, []int{base}, in.addrPhys)
@@ -83,7 +81,7 @@ func (c *Core) renameLoad(in *inst) {
 }
 
 func (c *Core) renameLoadPerfect(in *inst) {
-	e := in.e
+	e := c.entry(in)
 	d := e.Instr.Dest()
 	if d != isa.NoReg && in.actualInFly && e.DepOverlap == trace.OverlapFull {
 		if se := c.srb.get(e.DepStore); se != nil {
@@ -97,7 +95,7 @@ func (c *Core) renameLoadPerfect(in *inst) {
 }
 
 func (c *Core) renameLoadBaseline(in *inst) {
-	e := in.e
+	e := c.entry(in)
 	d := e.Instr.Dest()
 	dst := -1
 	if d != isa.NoReg {
@@ -108,10 +106,9 @@ func (c *Core) renameLoadBaseline(in *inst) {
 	// Store Sets: the load may not issue before its set's last fetched
 	// store resolves its address.
 	if waitSeq := c.sets.LoadRenamed(e.PC); waitSeq != 0 {
-		if st := c.instBySeqGet(waitSeq); st != nil && !st.addrReady {
+		if st := c.rob.bySeq(waitSeq); st != nil && !st.addrReady {
 			ld.gate = gateStoreExec
-			ld.gateInst = st
-			ld.gateSeq = st.seq
+			ld.gateArg = st.seq
 		}
 	}
 	c.finishUopSetup(ld)
@@ -122,7 +119,7 @@ func (c *Core) renameLoadBaseline(in *inst) {
 // low-confidence one delays (NoSQ) or predicates (DMDP); everything else
 // reads the cache directly.
 func (c *Core) renameLoadSQFree(in *inst) {
-	e := in.e
+	e := c.entry(in)
 	d := e.Instr.Dest()
 	pred, hit := c.sdp.Predict(e.PC, in.histAtRen)
 	c.stats.SDPReads++
@@ -198,7 +195,7 @@ func (c *Core) setupCloak(in *inst, d isa.Reg, se *srbEntry) {
 	in.destPhys = p
 	in.cat = LoadBypass
 	c.stats.Cloaks++
-	in.gotValue = forwardValue(&c.tr.Entries[se.idx], in.e)
+	in.gotValue = forwardValue(&c.tr.Entries[se.idx], c.entry(in))
 	in.readCache = false
 	// Zero-cost tracker: the load's value is available when the store's
 	// data register is (possibly before rename; execution time floors
@@ -216,7 +213,7 @@ func (c *Core) setupDelayed(in *inst, d isa.Reg) {
 	c.stats.DelayedLoads++
 	ld := c.newUop(in, uopLoad, isa.ClassLoad, []int{in.addrPhys}, dst)
 	ld.gate = gateSSNCommit
-	ld.gateSSN = in.ssnByp
+	ld.gateArg = in.ssnByp
 	c.finishUopSetup(ld)
 }
 
@@ -262,10 +259,10 @@ func (c *Core) issueLoad(u *uop) bool {
 	if c.cfg.Model == config.Baseline {
 		return c.issueLoadBaseline(u)
 	}
-	in := u.inst
+	in := c.rob.instOf(u)
 	u.issued = true
 	c.stats.CacheAccesses++
-	c.events.schedule(c.hier.Access(c.now, in.e.Addr, false), u)
+	c.events.schedule(c.hier.Access(c.now, c.entry(in).Addr, false), u)
 	return false
 }
 
@@ -276,8 +273,8 @@ func (c *Core) issueLoad(u *uop) bool {
 // commit; no match reads the cache. Older stores with unresolved
 // addresses are speculatively ignored — the violation check catches them.
 func (c *Core) issueLoadBaseline(u *uop) bool {
-	in := u.inst
-	e := in.e
+	in := c.rob.instOf(u)
+	e := c.entry(in)
 	c.stats.SQSearches++
 
 	var found *srbEntry
@@ -286,7 +283,7 @@ func (c *Core) issueLoadBaseline(u *uop) bool {
 		if se == nil {
 			continue
 		}
-		if se.inst != nil && !se.inst.addrReady {
+		if inflight := c.rob.bySeq(se.seq); inflight != nil && !inflight.addrReady {
 			continue // address unknown: speculate past it
 		}
 		st := &c.tr.Entries[se.idx]
@@ -305,15 +302,16 @@ func (c *Core) issueLoadBaseline(u *uop) bool {
 	if st.BAB()&e.BAB() != e.BAB() {
 		// Partial overlap: wait for the store to commit, then retry.
 		u.gate = gateSSNCommit
-		u.gateSSN = found.ssn
-		u.parked = true
-		c.delayed = append(c.delayed, u)
+		u.gateArg = found.ssn
+		c.delayed = append(c.delayed, u.ref)
 		return true
 	}
-	if found.inst != nil && !c.rf.regs[found.dataPhys].ready {
-		// Forwarder's data not produced yet: replay when it is.
+	if c.rob.bySeq(found.seq) != nil && !c.rf.regs[found.dataPhys].ready {
+		// Forwarder's data not produced yet: replay when it is. The
+		// uop's operand waits were all walked before it issued, so its
+		// first wait link is free.
 		u.waitCnt++
-		c.rf.await(found.dataPhys, u)
+		c.await(found.dataPhys, u, 0)
 		return true
 	}
 	// Forward from the SQ (in-ROB store) or SB (retired store).
@@ -331,8 +329,8 @@ func (c *Core) readCacheValue(e *trace.Entry) uint32 {
 }
 
 func (c *Core) completeLoadAccess(u *uop) {
-	in := u.inst
-	e := in.e
+	in := c.rob.instOf(u)
+	e := c.entry(in)
 
 	if in.cat == LoadPredicated {
 		// The LD half of a predication: keep the cache value; the
@@ -340,7 +338,7 @@ func (c *Core) completeLoadAccess(u *uop) {
 		in.cacheValue = c.readCacheValue(e)
 		in.cacheValueSeen = true
 		in.ssnNvul = c.ssn.Commit
-		c.writeback(u.dst)
+		c.writeback(int(u.dst))
 		return
 	}
 
@@ -360,7 +358,7 @@ func (c *Core) completeLoadAccess(u *uop) {
 		in.gotValue = e.Value // oracle loads are never wrong
 	}
 	in.valueAt = c.now
-	c.writeback(u.dst)
+	c.writeback(int(u.dst))
 }
 
 // completeCMP computes the predicate: the predicted store forwards iff
@@ -368,9 +366,9 @@ func (c *Core) completeLoadAccess(u *uop) {
 // load's (the predicate also carries the shift amount and load type, so
 // the CMOV can align and extend the operand — folded into forwardValue).
 func (c *Core) completeCMP(u *uop) {
-	in := u.inst
-	st := &c.tr.Entries[in.predIdx]
-	in.predicate = st.WordAddr() == in.e.WordAddr() && st.BAB()&in.e.BAB() == in.e.BAB()
+	in := c.rob.instOf(u)
+	st, e := &c.tr.Entries[in.predIdx], c.entry(in)
+	in.predicate = st.WordAddr() == e.WordAddr() && st.BAB()&e.BAB() == e.BAB()
 	if c.inj != nil && c.inj.CorruptPredicate() {
 		// Benign fault: the wrong CMOV arm publishes; retire-time
 		// verification (or, failing that, the oracle) must catch it.
@@ -379,14 +377,14 @@ func (c *Core) completeCMP(u *uop) {
 	in.predicateDone = true
 	c.rf.dropConsumer(in.predAddrPhys)
 	c.checkRefs(in.idx)
-	c.writeback(u.dst)
+	c.writeback(int(u.dst))
 }
 
 func (c *Core) completeCMOV(u *uop) {
-	in := u.inst
+	in := c.rob.instOf(u)
 	if !in.predicateDone {
 		c.fail(&SimError{
-			Kind: ErrDesync, Idx: in.idx, PC: in.e.PC, Disasm: in.e.Instr.String(),
+			Kind: ErrDesync, Idx: in.idx, PC: c.entry(in).PC, Disasm: c.entry(in).Instr.String(),
 			Msg: "CMOV executed before its predicate",
 		})
 		return
@@ -399,19 +397,19 @@ func (c *Core) completeCMOV(u *uop) {
 		// register write, no broadcast — and its definition of the
 		// shared destination evaporates (producer counter decrement,
 		// paper §IV-B), otherwise the register would leak.
-		c.rf.dropProducer(u.dst)
+		c.rf.dropProducer(int(u.dst))
 		c.checkRefs(in.idx)
 		return
 	}
 	if in.predicate {
-		in.gotValue = forwardValue(&c.tr.Entries[in.predIdx], in.e)
+		in.gotValue = forwardValue(&c.tr.Entries[in.predIdx], c.entry(in))
 		in.readCache = false
 	} else {
 		in.gotValue = in.cacheValue
 		in.readCache = true
 	}
 	in.valueAt = c.now
-	c.writeback(u.dst)
+	c.writeback(int(u.dst))
 }
 
 // ---------- baseline ordering violations ----------
@@ -422,13 +420,15 @@ func (c *Core) completeCMOV(u *uop) {
 // reaches the head (flush + refetch from the load). The store set
 // predictor learns the pair.
 func (c *Core) checkViolations(st *inst) {
-	se := st.e
-	for i := 0; i < c.rob.len(); i++ {
+	se := c.entry(st)
+	// The ROB holds consecutive seqs: the younger instructions follow
+	// the store's slot.
+	for i := int(st.seq-c.rob.front().seq) + 1; i < c.rob.len(); i++ {
 		l := c.rob.at(i)
-		if l.seq <= st.seq || !l.isLoad() || l.violated {
+		if !l.isLoad() || l.violated {
 			continue
 		}
-		le := l.e
+		le := c.entry(l)
 		if le.WordAddr() != se.WordAddr() || le.BAB()&se.BAB() == 0 {
 			continue
 		}
@@ -436,11 +436,9 @@ func (c *Core) checkViolations(st *inst) {
 			continue // the store is younger in program order
 		}
 		issued := false
-		resolved := false
-		for _, lu := range l.uops {
-			if lu.kind == uopLoad {
+		for k := range l.uops[:l.nUops] {
+			if lu := &l.uops[k]; lu.kind == uopLoad {
 				issued = lu.issued
-				resolved = lu.done
 			}
 		}
 		if !issued {
@@ -449,7 +447,6 @@ func (c *Core) checkViolations(st *inst) {
 		if l.srcSSN >= st.ssn {
 			continue // got data from this store or a younger one
 		}
-		_ = resolved
 		l.violated = true
 		c.stats.Violations++
 		c.sets.OnViolation(le.PC, se.PC)
@@ -482,10 +479,11 @@ func (c *Core) verifyLoad(in *inst) verifyResult {
 		return verifyOK
 	}
 
+	e := c.entry(in)
 	if !in.verifyChecked {
 		in.verifyChecked = true
 		c.progress = true
-		ssn, tagMatch, covered := c.tssbf.LookupCovering(in.e.WordAddr(), in.e.BAB())
+		ssn, tagMatch, covered := c.tssbf.LookupCovering(e.WordAddr(), e.BAB())
 		c.stats.TSSBFReads++
 		in.tssbfSSN, in.tssbfMatch, in.tssbfCovered = ssn, tagMatch, covered
 		if in.readCache {
@@ -504,7 +502,7 @@ func (c *Core) verifyLoad(in *inst) verifyResult {
 			return verifyStall
 		}
 		if in.reexecAt == 0 {
-			in.reexecAt = c.hier.Access(c.now, in.e.Addr, false)
+			in.reexecAt = c.hier.Access(c.now, e.Addr, false)
 			c.stats.CacheAccesses++
 			c.progress = true
 		}
@@ -514,7 +512,7 @@ func (c *Core) verifyLoad(in *inst) verifyResult {
 		}
 		// Re-execution done: the store buffer is drained, so the
 		// reload yields the architectural value.
-		exception := in.gotValue != in.e.Value
+		exception := in.gotValue != e.Value
 		if exception {
 			c.stats.DepMispredicts++
 			c.stats.DepMispredictsByCat[in.cat]++
@@ -522,7 +520,7 @@ func (c *Core) verifyLoad(in *inst) verifyResult {
 				c.onDepMispredict(in)
 			}
 			in.recoverAfter = true
-			in.gotValue = in.e.Value
+			in.gotValue = e.Value
 		}
 		// Silent-store-aware policy (paper §IV-C a): learn the observed
 		// dependence on every re-execution. The original policy only
@@ -554,7 +552,8 @@ func (c *Core) verifyLoad(in *inst) verifyResult {
 // tag-match check), and a collision needs a tag match within the
 // predictor's 6-bit range.
 func (c *Core) trainSDP(in *inst, reexecuted bool) {
-	actual := in.e.StoresBefore - in.tssbfSSN
+	e := c.entry(in)
+	actual := e.StoresBefore - in.tssbfSSN
 	v := memdep.Verdict{
 		Used:       in.ssnByp > 0,
 		UsedDist:   in.usedDist,
@@ -563,7 +562,7 @@ func (c *Core) trainSDP(in *inst, reexecuted bool) {
 		ActualDist: actual,
 		Reexecuted: reexecuted,
 	}
-	if memdep.TrainLoad(c.sdp, in.e.PC, in.histAtRen, v) {
+	if memdep.TrainLoad(c.sdp, e.PC, in.histAtRen, v) {
 		c.stats.SDPWrites++
 	}
 }

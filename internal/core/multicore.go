@@ -389,6 +389,11 @@ func (m *Machine) Run() (*MachineStats, error) { return m.RunContext(context.Bac
 // with a structured ErrCanceled SimError (polled every
 // cancelPollInterval global cycles, like a single core's RunContext).
 func (m *Machine) RunContext(ctx context.Context) (*MachineStats, error) {
+	defer func() {
+		for _, c := range m.cores {
+			c.rob.release()
+		}
+	}()
 	start := time.Now()
 	done := ctx.Done()
 	poll := cancelPollInterval - 1 // the first cycle polls too

@@ -15,26 +15,25 @@ import (
 
 // ---------- model-based robQ check ----------
 
-// TestRobQModelBased drives the ring buffer with random operations and
-// compares it against a reference slice implementation.
+// TestRobQModelBased drives the slot ring with random operations and
+// compares it against a reference slice of trace indices.
 func TestRobQModelBased(t *testing.T) {
 	f := func(ops []uint8, capSeed uint8) bool {
 		capacity := 1 + int(capSeed%16)
 		q := newRobQ(capacity)
-		var ref []*inst
+		var ref []int
 		next := 0
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 1: // push
 				if len(ref) < capacity {
-					in := &inst{idx: next}
+					q.push().idx = next
+					ref = append(ref, next)
 					next++
-					q.push(in)
-					ref = append(ref, in)
 				}
 			case 2: // pop
 				if len(ref) > 0 {
-					if q.popFront() != ref[0] {
+					if q.popFront().idx != ref[0] {
 						return false
 					}
 					ref = ref[1:]
@@ -42,7 +41,7 @@ func TestRobQModelBased(t *testing.T) {
 			case 3: // random access
 				if len(ref) > 0 {
 					i := int(op) % len(ref)
-					if q.at(i) != ref[i] {
+					if q.at(i).idx != ref[i] {
 						return false
 					}
 				}
@@ -51,7 +50,7 @@ func TestRobQModelBased(t *testing.T) {
 				q.empty() != (len(ref) == 0) {
 				return false
 			}
-			if len(ref) > 0 && q.front() != ref[0] {
+			if len(ref) > 0 && q.front().idx != ref[0] {
 				return false
 			}
 		}
@@ -67,16 +66,19 @@ func TestRobQModelBased(t *testing.T) {
 func TestReadyHeapPopsInSeqOrder(t *testing.T) {
 	f := func(seqs []int64) bool {
 		var h readyHeap
-		for _, s := range seqs {
-			h.push(&uop{seq: s})
+		seqOf := map[uopRef]int64{}
+		for i, s := range seqs {
+			r := uopRef(i + 1)
+			seqOf[r] = s
+			h.push(&uop{seq: s, ref: r})
 		}
 		last := int64(math.MinInt64)
 		for h.Len() > 0 {
-			u := h.pop()
-			if u.seq < last {
+			s := seqOf[h.pop()]
+			if s < last {
 				return false
 			}
-			last = u.seq
+			last = s
 		}
 		return true
 	}
@@ -86,29 +88,42 @@ func TestReadyHeapPopsInSeqOrder(t *testing.T) {
 }
 
 func TestEventHeapPopDue(t *testing.T) {
-	var h eventHeap
-	u1, u2, u3, u4 := &uop{seq: 1}, &uop{seq: 2}, &uop{seq: 3}, &uop{seq: 4}
-	h.schedule(10, u3)
-	h.schedule(5, u1)
-	h.schedule(5, u2)
-	h.schedule(20, u4)
-	u2.squashed = true
+	q := newRobQ(4)
+	w := eventWheel{rob: q}
+	var u [5]*uop
+	for i := 1; i <= 4; i++ {
+		u[i] = &q.push().uops[0]
+		*u[i] = uop{seq: int64(i), ref: q.slots[i-1].base | 1}
+	}
+	u1, u2, u3, u4 := u[1], u[2], u[3], u[4]
+	w.schedule(10, u3)
+	w.schedule(5, u2)
+	w.schedule(5, u1)
+	w.schedule(200, u4) // beyond the window
 
-	if got := h.popDue(4); got != nil {
+	if got := w.popDue(4); got != nil {
 		t.Fatalf("nothing due at 4, got %v", got.seq)
 	}
-	if got := h.popDue(5); got != u1 {
+	if got := w.popDue(5); got != u1 {
 		t.Fatal("u1 due first (same-cycle ties break by seq)")
 	}
-	// u2 is squashed: skipped silently.
-	if got := h.popDue(10); got != u3 {
-		t.Fatal("u3 due at 10 after squashed u2 skipped")
+	if got := w.popDue(10); got != u2 {
+		t.Fatal("u2 due at 5, still pending at 10")
 	}
-	if got := h.popDue(10); got != nil {
+	if got := w.popDue(10); got != u3 {
+		t.Fatal("u3 due at 10")
+	}
+	if got := w.popDue(10); got != nil {
 		t.Fatal("u4 not due yet")
 	}
-	if h.nextAt() != 20 {
-		t.Fatalf("nextAt %d", h.nextAt())
+	if w.nextAt() != 200 {
+		t.Fatalf("nextAt %d", w.nextAt())
+	}
+	if got := w.popDue(250); got != u4 {
+		t.Fatal("u4 due at 200, popped at 250")
+	}
+	if w.nextAt() != -1 {
+		t.Fatalf("empty wheel: nextAt %d", w.nextAt())
 	}
 }
 

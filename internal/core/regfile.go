@@ -19,6 +19,10 @@ type physReg struct {
 	producers int   // live definitions
 	consumers int   // outstanding late readers (stores pending commit, predication uops)
 	free      bool
+
+	// The uops stalled on this register: an intrusive FIFO list threaded
+	// through their wait links (Core.await).
+	whead, wtail waitRef
 }
 
 // refErr records a reference-count underflow observed by maybeFree; the
@@ -35,10 +39,8 @@ type regFile struct {
 	regs     []physReg
 	rat      [isa.NumLogicalRegs]int // speculative map
 	arat     [isa.NumLogicalRegs]int // architectural (retired) map
-	freeList []int
-
-	// waiters maps a physical register to the uops stalled on it.
-	waiters [][]*uop
+	freeList []int                   // freeList[:nFree] are the free registers
+	nFree    int
 
 	// badRef holds the first refcount underflow until the core collects
 	// it (nil when the counters are consistent).
@@ -46,10 +48,7 @@ type regFile struct {
 }
 
 func newRegFile(n int) *regFile {
-	rf := &regFile{
-		regs:    make([]physReg, n),
-		waiters: make([][]*uop, n),
-	}
+	rf := &regFile{regs: make([]physReg, n), freeList: make([]int, n)}
 	// Logical registers start mapped to p0..p34, ready and live.
 	for l := 0; l < isa.NumLogicalRegs; l++ {
 		rf.rat[l] = l
@@ -58,20 +57,26 @@ func newRegFile(n int) *regFile {
 	}
 	for p := n - 1; p >= isa.NumLogicalRegs; p-- {
 		rf.regs[p].free = true
-		rf.freeList = append(rf.freeList, p)
+		rf.pushFree(p)
 	}
 	return rf
 }
 
 // freeCount returns the number of allocatable registers.
-func (rf *regFile) freeCount() int { return len(rf.freeList) }
+func (rf *regFile) freeCount() int { return rf.nFree }
+
+// pushFree adds p to the free list. The list is allocated at the file
+// size, so it never grows and allocating never rewrites its header.
+func (rf *regFile) pushFree(p int) {
+	rf.freeList[rf.nFree] = p
+	rf.nFree++
+}
 
 // alloc takes a register from the free list with one producer.
 func (rf *regFile) alloc() int {
-	p := rf.freeList[len(rf.freeList)-1]
-	rf.freeList = rf.freeList[:len(rf.freeList)-1]
+	rf.nFree--
+	p := rf.freeList[rf.nFree]
 	rf.regs[p] = physReg{free: false, producers: 1}
-	rf.waiters[p] = rf.waiters[p][:0]
 	return p
 }
 
@@ -108,32 +113,21 @@ func (rf *regFile) maybeFree(p int) {
 	}
 	if r.producers == 0 && r.consumers == 0 && !r.free {
 		r.free = true
-		rf.freeList = append(rf.freeList, p)
+		rf.pushFree(p)
 	}
 }
 
-// setReady marks p's value available at cycle and returns the woken
-// uops. The returned slice keeps its backing array registered as p's
-// (now empty) waiter list — safe to iterate because await never appends
-// to a ready register, and p cannot be re-allocated mid-writeback (only
-// rename allocates).
-func (rf *regFile) setReady(p int, cycle int64) []*uop {
+// setReady marks p's value available at cycle and detaches its waiter
+// list, returning the first waiter (0 = none). The caller walks the list
+// — safe because nothing waits on a ready register, and p cannot be
+// re-allocated mid-writeback (only rename allocates).
+func (rf *regFile) setReady(p int, cycle int64) waitRef {
 	r := &rf.regs[p]
 	r.ready = true
 	r.readyAt = cycle
-	w := rf.waiters[p]
-	rf.waiters[p] = w[:0]
+	w := r.whead
+	r.whead, r.wtail = 0, 0
 	return w
-}
-
-// await registers u as waiting for p; returns false when p is already
-// ready (no wait needed).
-func (rf *regFile) await(p int, u *uop) bool {
-	if rf.regs[p].ready {
-		return false
-	}
-	rf.waiters[p] = append(rf.waiters[p], u)
-	return true
 }
 
 // resetToARAT rebuilds the speculative state from the architectural map
@@ -147,7 +141,7 @@ func (rf *regFile) resetToARAT(sbRefs []int) {
 	for p := range rf.regs {
 		rf.regs[p].producers = 0
 		rf.regs[p].consumers = 0
-		rf.waiters[p] = rf.waiters[p][:0]
+		rf.regs[p].whead, rf.regs[p].wtail = 0, 0
 	}
 	for _, p := range rf.arat {
 		rf.regs[p].producers++
@@ -155,13 +149,13 @@ func (rf *regFile) resetToARAT(sbRefs []int) {
 	for _, p := range sbRefs {
 		rf.regs[p].consumers++
 	}
-	rf.freeList = rf.freeList[:0]
+	rf.nFree = 0
 	for p := len(rf.regs) - 1; p >= 0; p-- {
 		r := &rf.regs[p]
 		r.free = r.producers == 0 && r.consumers == 0
 		r.ready = true
 		if r.free {
-			rf.freeList = append(rf.freeList, p)
+			rf.pushFree(p)
 		}
 	}
 }
@@ -172,8 +166,8 @@ func (rf *regFile) checkInvariants() error {
 	if b := rf.badRef; b != nil {
 		return fmt.Errorf("core: negative refcount on p%d (%d/%d)", b.p, b.producers, b.consumers)
 	}
-	seen := make(map[int]bool, len(rf.freeList))
-	for _, p := range rf.freeList {
+	seen := make(map[int]bool, rf.nFree)
+	for _, p := range rf.freeList[:rf.nFree] {
 		if seen[p] {
 			return fmt.Errorf("core: p%d on free list twice", p)
 		}

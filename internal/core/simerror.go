@@ -157,14 +157,19 @@ func (c *Core) fail(e *SimError) {
 // only stores the trace index and retireTail materializes Disasm on the
 // (cold) SimError path.
 func (c *Core) recordRetire(in *inst) {
-	r := RetireRecord{Cycle: c.now, Idx: in.idx, PC: in.e.PC}
+	// Fields are stored in place: assembling the record on the stack and
+	// copying it costs a store-forwarding stall per retired instruction.
+	r := &c.retireLog[int((c.retired-1)%retireLogCap)]
+	e := c.entry(in)
+	r.Cycle, r.Idx, r.PC = c.now, in.idx, e.PC
 	switch {
 	case in.isLoad():
 		r.Value, r.IsMem = in.gotValue, true
 	case in.isStore():
-		r.Value, r.IsMem = in.e.Value, true
+		r.Value, r.IsMem = e.Value, true
+	default:
+		r.Value, r.IsMem = 0, false
 	}
-	c.retireLog[int((c.retired-1)%retireLogCap)] = r
 }
 
 // retireTail returns the ring buffer's contents oldest-first, filling in
@@ -188,7 +193,7 @@ func (c *Core) snapshot() PipeSnapshot {
 	head := "empty"
 	if !c.rob.empty() {
 		h := c.rob.front()
-		head = fmt.Sprintf("idx=%d %s pending=%d", h.idx, h.e.Instr, h.pending)
+		head = fmt.Sprintf("idx=%d %s pending=%d", h.idx, c.entry(h).Instr, h.pending)
 	}
 	return PipeSnapshot{
 		ROB:          c.rob.len(),
@@ -230,7 +235,7 @@ func (c *Core) oracleRetireCheck(in *inst) {
 	if c.simErr != nil {
 		return
 	}
-	e := in.e
+	e := c.entry(in)
 	c.stats.OracleChecks++
 	switch {
 	case in.isLoad():

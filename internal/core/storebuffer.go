@@ -16,11 +16,11 @@ type sbEntry struct {
 	dataPhys int
 	addrPhys int
 
+	// A coalesced entry (TSO store coalescing of consecutive same-word
+	// stores) is issued with, and completes at the doneAt of, the entry
+	// carrying it.
 	issued bool
 	doneAt int64
-	// coalesced entries commit with the head access (TSO store
-	// coalescing of consecutive same-word stores).
-	coalescedWith int // index into the buffer of the carrying entry, -1 = self
 }
 
 // storeBuffer models the post-retirement store queue with TSO (in-order,
@@ -40,10 +40,7 @@ func (sb *storeBuffer) full() bool  { return len(sb.entries) >= sb.cap }
 func (sb *storeBuffer) empty() bool { return len(sb.entries) == 0 }
 func (sb *storeBuffer) len() int    { return len(sb.entries) }
 
-func (sb *storeBuffer) push(e sbEntry) {
-	e.coalescedWith = -1
-	sb.entries = append(sb.entries, e)
-}
+func (sb *storeBuffer) push(e sbEntry) { sb.entries = append(sb.entries, e) }
 
 // regRefs appends the physical registers still referenced by pending
 // stores (used to rebuild consumer counts after a recovery).
@@ -88,10 +85,10 @@ func (sb *storeBuffer) hasOlderSameWord(i int) bool {
 // Fig. 6).
 type srbEntry struct {
 	ssn      int64
-	idx      int // trace index
+	idx      int   // trace index
+	seq      int64 // the store's dynamic number: in flight iff the ROB holds it
 	dataPhys int
 	addrPhys int
-	inst     *inst // nil once the store has retired into the SB
 }
 
 // storeRegBuffer maps SSN -> register identities for all in-flight
@@ -154,12 +151,6 @@ func (s *storeRegBuffer) get(ssn int64) *srbEntry {
 func (s *storeRegBuffer) remove(ssn int64) {
 	if e := &s.entries[ssn&s.mask]; e.ssn == ssn {
 		*e = srbEntry{}
-	}
-}
-
-func (s *storeRegBuffer) markRetired(ssn int64) {
-	if e := s.get(ssn); e != nil {
-		e.inst = nil
 	}
 }
 

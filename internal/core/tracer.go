@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"dmdp/internal/trace"
 )
 
 // StageTimes records one retired instruction's flow through the pipeline
@@ -39,21 +41,21 @@ func (c *Core) AttachTracer(max int) *PipeTracer {
 	return c.tracer
 }
 
-func (p *PipeTracer) onRetire(in *inst, now int64) {
+func (p *PipeTracer) onRetire(in *inst, e *trace.Entry, now int64) {
 	if len(p.Records) >= p.Max {
 		return
 	}
 	p.Records = append(p.Records, StageTimes{
 		Idx:      in.idx,
-		PC:       in.e.PC,
-		Disasm:   in.e.Instr.String(),
+		PC:       e.PC,
+		Disasm:   e.Instr.String(),
 		Renamed:  in.renamedAt,
 		Complete: in.completedAt,
 		Retired:  now,
 		ValueAt:  in.valueAt,
 		IsLoad:   in.isLoad(),
 		Cat:      in.cat,
-		Uops:     len(in.uops),
+		Uops:     int(in.nUops),
 		Squashes: p.squashes[in.idx],
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dmdp/internal/config"
@@ -94,18 +95,32 @@ func TestRegFileNegativeRefRecorded(t *testing.T) {
 }
 
 func TestRegFileWakeup(t *testing.T) {
-	rf := newRegFile(64)
-	p := rf.alloc()
-	u := &uop{}
-	if !rf.await(p, u) {
-		t.Fatal("fresh register must not be ready")
+	c := &Core{rf: newRegFile(64), rob: newRobQ(2)}
+	p := c.rf.alloc()
+	a, b := &c.rob.push().uops[0], &c.rob.push().uops[0]
+	a.ref, b.ref = c.rob.slots[0].base|1, c.rob.slots[1].base|1
+	// a waits on p twice (both operands), b once: the list keeps them in
+	// arrival order.
+	for _, w := range []struct {
+		u *uop
+		k int
+	}{{a, 0}, {b, 0}, {a, 1}} {
+		if !c.await(p, w.u, w.k) {
+			t.Fatal("fresh register must not be ready")
+		}
 	}
-	woken := rf.setReady(p, 10)
-	if len(woken) != 1 || woken[0] != u {
-		t.Fatal("waiter not woken")
+	var woken []uopRef
+	for n := c.rf.setReady(p, 10); n != 0; n = c.rob.uop(uopRef(n >> 1)).wnext[n&1] {
+		woken = append(woken, uopRef(n>>1))
 	}
-	if rf.await(p, &uop{}) {
+	if want := []uopRef{a.ref, b.ref, a.ref}; !slices.Equal(woken, want) {
+		t.Fatalf("woken %v, want %v", woken, want)
+	}
+	if c.await(p, b, 1) {
 		t.Fatal("ready register must not register waiters")
+	}
+	if c.rf.setReady(p, 11) != 0 {
+		t.Fatal("setReady must detach the waiter list")
 	}
 }
 
@@ -139,7 +154,7 @@ func TestRegFileResetToARAT(t *testing.T) {
 func TestRobQFIFO(t *testing.T) {
 	q := newRobQ(4)
 	for i := 0; i < 4; i++ {
-		q.push(&inst{idx: i})
+		q.push().idx = i
 	}
 	if !q.full() {
 		t.Fatal("should be full")
@@ -157,11 +172,11 @@ func TestRobQFIFO(t *testing.T) {
 
 func TestRobQWrapAround(t *testing.T) {
 	q := newRobQ(3)
-	q.push(&inst{idx: 0})
-	q.push(&inst{idx: 1})
+	q.push().idx = 0
+	q.push().idx = 1
 	q.popFront()
-	q.push(&inst{idx: 2})
-	q.push(&inst{idx: 3}) // wraps
+	q.push().idx = 2
+	q.push().idx = 3 // wraps
 	if q.len() != 3 {
 		t.Fatalf("len %d", q.len())
 	}
@@ -174,6 +189,20 @@ func TestRobQWrapAround(t *testing.T) {
 	q.clear()
 	if !q.empty() {
 		t.Fatal("clear failed")
+	}
+}
+
+// TestRobQPushZeroesSlot: a reused slot starts from zero state, whatever
+// its previous instruction left behind.
+func TestRobQPushZeroesSlot(t *testing.T) {
+	q := newRobQ(1)
+	in := q.push()
+	in.idx, in.seq, in.recoverAfter, in.nUops = 7, 9, true, 3
+	in.execHead = 1
+	q.popFront()
+	in = q.push()
+	if in.instState != (instState{}) {
+		t.Fatalf("reused slot not zeroed: %+v", in.instState)
 	}
 }
 

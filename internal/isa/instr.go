@@ -24,15 +24,50 @@ type Instr struct {
 
 // Dest returns the destination logical register, or NoReg.
 func (i Instr) Dest() Reg {
+	d := i.field(opTable[i.Op].dest)
+	if d == Zero {
+		return NoReg // writes to $0 are discarded
+	}
+	return d
+}
+
+// Srcs appends the source logical registers to dst and returns it. $0 is
+// included (it renames trivially) but NoReg slots are not.
+func (i Instr) Srcs(dst []Reg) []Reg {
+	t := &opTable[i.Op]
+	for _, f := range t.srcs[:t.nSrcs] {
+		dst = append(dst, i.field(f))
+	}
+	return dst
+}
+
+// field returns the register an operand field names.
+func (i Instr) field(f regField) Reg {
+	switch f {
+	case fieldRd:
+		return i.Rd
+	case fieldRs:
+		return i.Rs
+	case fieldRt:
+		return i.Rt
+	case fieldRA:
+		return RA
+	}
+	return NoReg
+}
+
+// destOf is the definition of an instruction's destination register;
+// Dest reads the operand shape the decode table derived from it.
+func destOf(i Instr) Reg {
 	var d Reg
 	switch {
 	case i.Op == OpJAL:
 		d = RA
 	case i.Op == OpJALR:
 		d = i.Rd
-	case i.Op.IsLoad():
+	case classOf(i.Op) == ClassLoad:
 		d = i.Rt
-	case i.Op == OpNOP, i.Op == OpHALT, i.Op.IsStore(), i.Op.IsBranch(),
+	case i.Op == OpNOP, i.Op == OpHALT, classOf(i.Op) == ClassStore, isBranchOp(i.Op),
 		i.Op == OpJ, i.Op == OpJR:
 		return NoReg
 	case isIType(i.Op):
@@ -46,22 +81,22 @@ func (i Instr) Dest() Reg {
 	return d
 }
 
-// Srcs appends the source logical registers to dst and returns it. $0 is
-// included (it renames trivially) but NoReg slots are not.
-func (i Instr) Srcs(dst []Reg) []Reg {
+// srcsOf is the definition of an instruction's source registers; Srcs
+// reads the operand shape the decode table derived from it.
+func srcsOf(i Instr, dst []Reg) []Reg {
 	switch {
 	case i.Op == OpNOP, i.Op == OpHALT, i.Op == OpJ, i.Op == OpJAL,
 		i.Op == OpLUI:
 		return dst
 	case i.Op == OpJR, i.Op == OpJALR:
 		return append(dst, i.Rs)
-	case i.Op.IsLoad():
+	case classOf(i.Op) == ClassLoad:
 		return append(dst, i.Rs)
-	case i.Op.IsStore():
+	case classOf(i.Op) == ClassStore:
 		return append(dst, i.Rs, i.Rt)
 	case i.Op == OpBEQ, i.Op == OpBNE:
 		return append(dst, i.Rs, i.Rt)
-	case i.Op.IsBranch():
+	case isBranchOp(i.Op):
 		return append(dst, i.Rs)
 	case i.Op == OpSLL, i.Op == OpSRL, i.Op == OpSRA:
 		return append(dst, i.Rt) // shift amount in Imm

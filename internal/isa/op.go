@@ -134,7 +134,29 @@ const (
 )
 
 // Class returns the execution class of the opcode.
-func (o Op) Class() Class {
+func (o Op) Class() Class { return opTable[o].class }
+
+// IsLoad reports whether the opcode reads memory.
+func (o Op) IsLoad() bool { return opTable[o].flags&opLoad != 0 }
+
+// IsStore reports whether the opcode writes memory.
+func (o Op) IsStore() bool { return opTable[o].flags&opStore != 0 }
+
+// IsMem reports whether the opcode accesses memory.
+func (o Op) IsMem() bool { return opTable[o].flags&(opLoad|opStore) != 0 }
+
+// IsBranch reports whether the opcode is a conditional branch.
+func (o Op) IsBranch() bool { return opTable[o].flags&opBranch != 0 }
+
+// IsJump reports whether the opcode is an unconditional control transfer.
+func (o Op) IsJump() bool { return opTable[o].flags&opJump != 0 }
+
+// IsControl reports whether the opcode changes control flow.
+func (o Op) IsControl() bool { return opTable[o].flags&(opBranch|opJump) != 0 }
+
+// classOf is the definition of each opcode's execution class; Class
+// reads the table built from it.
+func classOf(o Op) Class {
 	switch o {
 	case OpLB, OpLBU, OpLH, OpLHU, OpLW:
 		return ClassLoad
@@ -156,17 +178,8 @@ func (o Op) Class() Class {
 	return ClassALU
 }
 
-// IsLoad reports whether the opcode reads memory.
-func (o Op) IsLoad() bool { return o.Class() == ClassLoad }
-
-// IsStore reports whether the opcode writes memory.
-func (o Op) IsStore() bool { return o.Class() == ClassStore }
-
-// IsMem reports whether the opcode accesses memory.
-func (o Op) IsMem() bool { return o.IsLoad() || o.IsStore() }
-
-// IsBranch reports whether the opcode is a conditional branch.
-func (o Op) IsBranch() bool {
+// isBranchOp is the definition of the conditional branches.
+func isBranchOp(o Op) bool {
 	switch o {
 	case OpBEQ, OpBNE, OpBLEZ, OpBGTZ, OpBLTZ, OpBGEZ:
 		return true
@@ -174,17 +187,14 @@ func (o Op) IsBranch() bool {
 	return false
 }
 
-// IsJump reports whether the opcode is an unconditional control transfer.
-func (o Op) IsJump() bool {
+// isJumpOp is the definition of the unconditional control transfers.
+func isJumpOp(o Op) bool {
 	switch o {
 	case OpJ, OpJAL, OpJR, OpJALR:
 		return true
 	}
 	return false
 }
-
-// IsControl reports whether the opcode changes control flow.
-func (o Op) IsControl() bool { return o.IsBranch() || o.IsJump() }
 
 // MemBytes returns the access size in bytes for memory opcodes, 0 otherwise.
 func (o Op) MemBytes() uint32 {
